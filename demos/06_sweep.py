@@ -5,11 +5,8 @@ Reproducible experiment sweeps
 A sweep runs the whole pipeline over a grid of (n, m, seed) cells and emits
 one CSV row per cell: the exact counts, the float bound, the ratios between
 them, and pass flags for every internal cross-check. Rows are sorted and
-formatted deterministically, so two runs of the same spec are byte-identical
-even when DDLAB_THREADS spreads the cells over a pool.
+formatted deterministically, so two runs of the same spec are byte-identical.
 """
-
-import os
 
 from ddlab import CSV_COLUMNS, SweepSpec, compute_row, rows_to_csv, run_sweep
 
@@ -31,8 +28,5 @@ print("\none cell: x =", row.x, " Q =", row.Q, " I =", row.I,
 cyl = run_sweep(SweepSpec(n_list=(16,), m_list=(16,), seeds=(0,), generator="cylinder"))
 print("\ncylinder row: x =", cyl[0].x, " I =", cyl[0].I)
 
-# Determinism across thread counts.
-os.environ["DDLAB_THREADS"] = "4"
-threaded = rows_to_csv(run_sweep(spec))
-os.environ.pop("DDLAB_THREADS")
-print("\nthreaded output identical:", threaded == rows_to_csv(rows))
+# Determinism: a second run writes the same bytes.
+print("\nrepeat run identical:", rows_to_csv(run_sweep(spec)) == rows_to_csv(rows))

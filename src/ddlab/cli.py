@@ -6,8 +6,7 @@ identity that applies and report pass/fail), bound (float bound report),
 sweep (deterministic CSV over an (n, m, seed) grid).
 
 Exit codes: 0 when everything passed, 1 when an exact identity check
-failed, 2 on input errors. Sweeps honor DDLAB_THREADS for worker count
-without changing their output.
+failed, 2 on input errors.
 """
 
 from __future__ import annotations
@@ -156,7 +155,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         sys.stdout.write(json.dumps(rep.to_json_dict(), indent=2) + "\n")
     else:
         sys.stdout.write(
-            f"curves: {len(family.curves)} (gamma>0: {family.positive_count}, "
+            f"curves: {len(family)} (gamma>0: {family.positive_count}, "
             f"gamma<0: {family.negative_count})\n"
             f"incidences: {rep.total} (on gamma>0: {rep.positive_total}, "
             f"on gamma<0: {rep.negative_total})\n"
@@ -233,7 +232,7 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
     )
     grid = ParamGrid.from_config(src)
     fast = incidences(grid, family, mode="hash")
-    naive_work = grid.n ** 2 * len(family.curves)
+    naive_work = grid.n ** 2 * len(family)
     if naive_work <= 10_000_000:
         naive = incidences(grid, family, mode="naive")
         checks.append(

@@ -11,60 +11,41 @@ check_chain verifies the Cauchy-Schwarz link between the distinct count x
 and the energy: x * Q >= (nm - x)^2 exactly, and when x <= nm/2 also
 4 * x * Q >= m^2 * n^2.
 
-Counting runs on plain Python ints whenever every coordinate is an integer;
-int and Fraction values that are equal also hash equal, so the grouping is
-identical to the all-Fraction computation.
+energy_report counts on plain ints: it scales a config once with
+exact.int_view (every squared distance times L^2) and a matrix by the common
+denominator of its entries, and one positive factor keeps every equality.
+distance_classes stays on the original rationals and checks that scaling.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from .configs import SqDistMatrix
-from .exact import Config, rho_sq
+from .exact import Config, common_denominator, int_view, rho_sq, scaled_ints
 
 Source = Union[Config, SqDistMatrix]
 
 
-def _column_tables(src: Source) -> tuple[int, int, list, list, list]:
-    """Per-source tables: (n, m, axis params, P2 axis coords, P2 rho_sq).
-
-    For a matrix the last two lists are empty and entries are used directly.
-    Values come back as plain ints when the whole source is integral.
-    """
+def _scaled_columns(src: Source) -> Iterator[list[int]]:
+    """Each P2 column of squared distances, all scaled by one factor into ints."""
     if isinstance(src, SqDistMatrix):
-        return src.n, src.m, [], [], []
-    params: list = list(src.p1_params)
-    firsts: list = [p.coords[0] for p in src.p2_points]
-    rhos: list = [rho_sq(p) for p in src.p2_points]
-    if all(v.denominator == 1 for v in params) and all(
-        v.denominator == 1 for v in firsts + rhos
-    ):
-        params = [v.numerator for v in params]
-        firsts = [v.numerator for v in firsts]
-        rhos = [v.numerator for v in rhos]
-    return src.n, src.m, params, firsts, rhos
-
-
-def _matrix_rows(src: SqDistMatrix) -> list:
-    """Entry rows with integral values demoted to int, for cheap hashing.
-
-    int and Fraction hash and compare equal, so grouping keys are unchanged.
-    """
-    return [
-        [v.numerator if v.denominator == 1 else v for v in row]
-        for row in src.entries
-    ]
+        scale = common_denominator(v for row in src.entries for v in row)
+        for col in zip(*src.entries):
+            yield scaled_ints(col, scale)
+    else:
+        view = int_view(src)
+        for x, r in zip(view.firsts, view.rhos):
+            yield [(a - x) * (a - x) + r for a in view.params]
 
 
 @dataclass
 class DistanceClasses:
     """Map from each squared distance to the list of (i, j) pairs realizing it.
 
-    Keys are exact rationals (ints on integral inputs); pair lists keep the
+    Keys are the exact squared distances as Fractions; pair lists keep the
     first-seen order, scanning i-major.
     """
 
@@ -122,20 +103,19 @@ class ChainReport:
 
 
 def distance_classes(src: Source) -> DistanceClasses:
-    """Group all n*m (P1 index, P2 index) pairs by exact squared distance."""
-    n, m, params, firsts, rhos = _column_tables(src)
+    """Group all n*m (P1 index, P2 index) pairs by exact rational squared distance."""
     classes: dict = {}
     if isinstance(src, SqDistMatrix):
-        for i, row in enumerate(_matrix_rows(src)):
+        for i, row in enumerate(src.entries):
             for j, d in enumerate(row):
                 classes.setdefault(d, []).append((i, j))
     else:
-        for i, a in enumerate(params):
-            for j in range(m):
-                t = a - firsts[j]
-                d = t * t + rhos[j]
-                classes.setdefault(d, []).append((i, j))
-    return DistanceClasses(n=n, m=m, classes=classes)
+        cols = [(p.coords[0], rho_sq(p)) for p in src.p2_points]
+        for i, a in enumerate(src.p1_params):
+            for j, (f, r) in enumerate(cols):
+                t = a - f
+                classes.setdefault(t * t + r, []).append((i, j))
+    return DistanceClasses(n=src.n, m=src.m, classes=classes)
 
 
 def energy(classes: DistanceClasses) -> EnergyReport:
@@ -170,47 +150,21 @@ def energy(classes: DistanceClasses) -> EnergyReport:
 def energy_report(src: Source) -> EnergyReport:
     """EnergyReport straight from a source, without materializing pair lists.
 
-    Streams one column at a time: the global size table yields x, Q and the
-    histogram, the per-column table yields Q0. Agrees exactly with
+    Streams one scaled int column at a time: the global size table yields x,
+    Q and the histogram, the per-column table yields Q0. Agrees exactly with
     energy(distance_classes(src)); this route just keeps memory flat on
     large inputs.
     """
-    n, m, params, firsts, rhos = _column_tables(src)
-    sizes: dict = {}
+    sizes: Counter = Counter()
     q0 = 0
-    if isinstance(src, SqDistMatrix):
-        rows = _matrix_rows(src)
-        for j in range(m):
-            col: dict = {}
-            for i in range(n):
-                d = rows[i][j]
-                sizes[d] = sizes.get(d, 0) + 1
-                col[d] = col.get(d, 0) + 1
-            for cnt in col.values():
-                if cnt >= 2:
-                    q0 += cnt * (cnt - 1)
-    else:
-        for j in range(m):
-            f = firsts[j]
-            r = rhos[j]
-            col = {}
-            for a in params:
-                t = a - f
-                d = t * t + r
-                sizes[d] = sizes.get(d, 0) + 1
-                col[d] = col.get(d, 0) + 1
-            for cnt in col.values():
-                if cnt >= 2:
-                    q0 += cnt * (cnt - 1)
-    q = 0
-    hist: Counter = Counter()
-    for e in sizes.values():
-        hist[e] += 1
-        if e >= 2:
-            q += e * (e - 1)
+    for col in _scaled_columns(src):
+        sizes.update(col)
+        q0 += sum(c * (c - 1) for c in Counter(col).values() if c > 1)
+    hist = Counter(sizes.values())
+    q = sum(e * (e - 1) * count for e, count in hist.items())
     return EnergyReport(
-        n=n,
-        m=m,
+        n=src.n,
+        m=src.m,
         distinct_count=len(sizes),
         energy=q,
         energy_same_point=q0,

@@ -14,9 +14,11 @@ leading minus sign.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
 from .errors import FormatError
@@ -147,6 +149,43 @@ class Config:
     @property
     def m(self) -> int:
         return len(self.p2_points)
+
+
+def common_denominator(values: Iterable[Fraction]) -> int:
+    """The least L > 0 that makes v * L an integer for every value v (1 if none)."""
+    return math.lcm(*{v.denominator for v in values})
+
+
+def scaled_ints(values: Iterable[Fraction], scale: int) -> list[int]:
+    """Each value times scale, as ints; scale must be a multiple of every denominator."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+@dataclass(frozen=True)
+class IntView:
+    """A config scaled into ints by L = scale, the lcm of all coordinate denominators.
+
+    params holds a * L, firsts the P2 axis coordinates x * L and rhos
+    rho_sq * L^2 (an int, as transverse coordinates count towards L). Every
+    squared distance becomes exactly L^2 times itself, so every equality
+    between squared distances, and with it every count, is kept.
+    """
+
+    scale: int
+    params: tuple[int, ...]
+    firsts: tuple[int, ...]
+    rhos: tuple[int, ...]
+
+
+def int_view(cfg: Config) -> IntView:
+    """Scale a config by the common denominator of all its coordinates."""
+    scale = common_denominator(chain(cfg.p1_params, *(p.coords for p in cfg.p2_points)))
+    return IntView(
+        scale=scale,
+        params=tuple(scaled_ints(cfg.p1_params, scale)),
+        firsts=tuple(scaled_ints((p.coords[0] for p in cfg.p2_points), scale)),
+        rhos=tuple(sum(v * v for v in scaled_ints(p.coords[1:], scale)) for p in cfg.p2_points),
+    )
 
 
 @dataclass(frozen=True)

@@ -99,10 +99,9 @@ def read_matrix(stream: TextIO) -> SqDistMatrix:
 def write_gamma_csv(family: HyperbolaFamily, stream: TextIO) -> None:
     """One curve per row: source pair indices and the three coefficients."""
     stream.write("p_idx,q_idx,alpha,beta,gamma\n")
-    for h in family.curves:
+    for (i, j), alpha, beta, gamma in family.coefficients():
         stream.write(
-            f"{h.src[0]},{h.src[1]},"
-            f"{format_rational(h.alpha)},{format_rational(h.beta)},{format_rational(h.gamma)}\n"
+            f"{i},{j},{format_rational(alpha)},{format_rational(beta)},{format_rational(gamma)}\n"
         )
 
 

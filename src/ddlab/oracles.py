@@ -50,7 +50,7 @@ def oracle_quadruples(src: Source) -> tuple[int, int, int]:
 
 def oracle_incidences(grid: ParamGrid, family: HyperbolaFamily) -> int:
     """Total incidences by evaluating every curve equation at every grid point."""
-    work = grid.n ** 2 * len(family.curves)
+    work = grid.n ** 2 * len(family)
     if work > INCIDENCE_GUARD:
         raise TooLargeError(f"n^2 * curves = {work} exceeds the oracle guard {INCIDENCE_GUARD}")
     total = 0

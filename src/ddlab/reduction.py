@@ -12,6 +12,11 @@ two counts of the same set. gamma never vanishes for a config whose
 squared axis distances are pairwise distinct; a vanishing gamma would
 degenerate the curve into a pair of lines and is rejected.
 
+Curve building and incidence counting run on the config scaled into ints
+(exact.int_view), which scales (alpha, beta, gamma) by (L, L, L^2) and each
+curve equation by L^2, keeping every incidence. Hyperbola values, with their
+rational coefficients, are built only for callers that ask for them.
+
 Subtracting two curve equations cancels the quadratic part, leaving a line,
 so two distinct curves of the family meet in at most two points: the family
 behaves like pseudo-parabolas. Intersection counting is exact, via the sign
@@ -23,8 +28,11 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Iterator
 
 from .energy import distance_classes, energy
 from .errors import (
@@ -35,7 +43,7 @@ from .errors import (
     NotIncidentError,
     WrongSignError,
 )
-from .exact import Config, Rational, _frac, rho_sq
+from .exact import Config, Rational, _frac, common_denominator, int_view, scaled_ints
 
 
 @dataclass(frozen=True)
@@ -82,20 +90,50 @@ class ParamGrid:
         return len(self.params) ** 2
 
 
+def _ordered_pairs(m: int) -> Iterator[tuple[int, int]]:
+    """Source pairs (i, j) with i != j, i-major: the curve order of a family."""
+    return ((i, j) for i in range(m) for j in range(m) if i != j)
+
+
 @dataclass(frozen=True)
 class HyperbolaFamily:
-    """All m(m-1) ordered-pair curves of a config, in (p, q) index order."""
+    """All m(m-1) ordered-pair curves of a config, in (p, q) index order.
 
-    m: int
-    curves: tuple[Hyperbola, ...]
+    Stored as the config's scaled int columns (exact.int_view): with L =
+    scale, curve (i, j) has alpha = -firsts[i] / L, beta = -firsts[j] / L and
+    gamma = (rhos[i] - rhos[j]) / L^2. curves builds the Hyperbola values on
+    first access; the counting kernels read the columns.
+    """
+
+    scale: int
+    firsts: tuple[int, ...]
+    rhos: tuple[int, ...]
+
+    @property
+    def m(self) -> int:
+        return len(self.firsts)
+
+    def __len__(self) -> int:
+        return self.m * (self.m - 1)
+
+    def coefficients(self) -> Iterator[tuple[tuple[int, int], Fraction, Fraction, Fraction]]:
+        """(src, alpha, beta, gamma) of every curve, in order, as Fractions."""
+        axis = [Fraction(-x, self.scale) for x in self.firsts]
+        sq = self.scale * self.scale
+        for i, j in _ordered_pairs(self.m):
+            yield (i, j), axis[i], axis[j], Fraction(self.rhos[i] - self.rhos[j], sq)
+
+    @cached_property
+    def curves(self) -> tuple[Hyperbola, ...]:
+        return tuple(Hyperbola(a, b, g, src) for src, a, b, g in self.coefficients())
 
     @property
     def positive_count(self) -> int:
-        return sum(1 for h in self.curves if h.gamma > 0)
+        return sum(1 for ri in self.rhos for rj in self.rhos if ri > rj)
 
     @property
     def negative_count(self) -> int:
-        return sum(1 for h in self.curves if h.gamma < 0)
+        return sum(1 for ri in self.rhos for rj in self.rhos if ri < rj)
 
 
 def build_family(cfg: Config) -> HyperbolaFamily:
@@ -104,31 +142,26 @@ def build_family(cfg: Config) -> HyperbolaFamily:
     Needs m >= 2 and pairwise distinct squared axis distances; a repeated
     rho_sq surfaces as the degenerate curve of the offending pair. The
     result always holds m(m-1) pairwise distinct curves, half of them with
-    gamma > 0, since swapping the pair flips gamma's sign.
+    gamma > 0, since swapping the pair flips gamma's sign. Both checks run
+    on the config's scaled int columns.
     """
     if not isinstance(cfg, Config):
         raise TypeError("curve building needs a coordinate Config, not a matrix")
     m = cfg.m
     if m < 2:
         raise ValueError("need at least two P2 points")
-    rhos = [rho_sq(p) for p in cfg.p2_points]
-    curves: list[Hyperbola] = []
-    seen: set[tuple[Fraction, Fraction, Fraction]] = set()
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            alpha = -cfg.p2_points[i].coords[0]
-            beta = -cfg.p2_points[j].coords[0]
-            gamma = rhos[i] - rhos[j]
-            if gamma == 0:
-                raise DegenerateHyperbolaError(i, j)
-            triple = (alpha, beta, gamma)
-            if triple in seen:
-                raise DuplicateCurveError(f"pair ({i}, {j}) repeats {triple}")
-            seen.add(triple)
-            curves.append(Hyperbola(alpha=alpha, beta=beta, gamma=gamma, src=(i, j)))
-    return HyperbolaFamily(m=m, curves=tuple(curves))
+    view = int_view(cfg)
+    firsts, rhos = view.firsts, view.rhos
+    seen: dict[tuple[int, int, int], tuple[int, int]] = {}
+    for i, j in _ordered_pairs(m):
+        gamma = rhos[i] - rhos[j]
+        if gamma == 0:
+            raise DegenerateHyperbolaError(i, j)
+        triple = (firsts[i], firsts[j], gamma)
+        if triple in seen:
+            raise DuplicateCurveError(f"pair ({i}, {j}) repeats the curve of pair {seen[triple]}")
+        seen[triple] = (i, j)
+    return HyperbolaFamily(scale=view.scale, firsts=firsts, rhos=rhos)
 
 
 @dataclass(frozen=True)
@@ -147,52 +180,43 @@ class IncidenceReport:
 
 
 def incidences(grid: ParamGrid, family: HyperbolaFamily, mode: str = "hash") -> IncidenceReport:
-    """Count grid points on each curve, exactly.
+    """Count grid points on each curve, exactly, on plain ints.
 
-    mode "naive" evaluates every curve at every grid point. mode "hash"
-    groups curves sharing beta, keys the grid rows by (t + beta)^2 once per
-    group, and probes (s + alpha)^2 + gamma, which counts the same
+    Grid and family are first scaled to one L, the lcm of the family's scale
+    and the grid's denominators. mode "naive" evaluates every curve at every
+    grid point. mode "hash" keys the grid rows by (t + beta)^2 once per beta
+    column and probes (s + alpha)^2 + gamma, which counts the same
     incidences in O(n m^2) probes. Both modes agree exactly.
     """
-    params = grid.params
-    per_curve = [0] * len(family.curves)
-    if mode == "naive":
-        for pos, h in enumerate(family.curves):
-            cnt = 0
-            for s in params:
-                for t in params:
-                    if h.contains(s, t):
-                        cnt += 1
-            per_curve[pos] = cnt
-    elif mode == "hash":
-        by_beta: dict[Fraction, list[int]] = {}
-        for pos, h in enumerate(family.curves):
-            by_beta.setdefault(h.beta, []).append(pos)
-        for beta, members in by_beta.items():
-            table: dict[Fraction, int] = {}
-            for t in params:
-                v = t + beta
-                key = v * v
-                table[key] = table.get(key, 0) + 1
-            for pos in members:
-                h = family.curves[pos]
-                cnt = 0
-                for s in params:
-                    u = s + h.alpha
-                    cnt += table.get(u * u + h.gamma, 0)
-                per_curve[pos] = cnt
-    else:
+    if mode not in ("naive", "hash"):
         raise ValueError(f"unknown mode {mode!r}")
-    pos_total = sum(
-        c for c, h in zip(per_curve, family.curves) if h.gamma > 0
-    )
-    neg_total = sum(
-        c for c, h in zip(per_curve, family.curves) if h.gamma < 0
-    )
+    scale = math.lcm(family.scale, common_denominator(grid.params))
+    factor = scale // family.scale
+    params = scaled_ints(grid.params, scale)
+    shifts = [-x * factor for x in family.firsts]  # alpha of curves (i, .), beta of (., i)
+    rhos = [r * factor * factor for r in family.rhos]
+    pairs = list(_ordered_pairs(family.m))
+    if mode == "naive":
+        per_curve = [
+            sum(
+                1
+                for s in params
+                for t in params
+                if (s + shifts[i]) ** 2 - (t + shifts[j]) ** 2 + rhos[i] - rhos[j] == 0
+            )
+            for i, j in pairs
+        ]
+    else:
+        squares = [[(s + shift) ** 2 for s in params] for shift in shifts]
+        tables = [Counter(col) for col in squares]
+        per_curve = []
+        for i, j in pairs:
+            gamma, table = rhos[i] - rhos[j], tables[j]
+            per_curve.append(sum(table.get(u + gamma, 0) for u in squares[i]))
     return IncidenceReport(
         total=sum(per_curve),
-        positive_total=pos_total,
-        negative_total=neg_total,
+        positive_total=sum(c for c, (i, j) in zip(per_curve, pairs) if rhos[i] > rhos[j]),
+        negative_total=sum(c for c, (i, j) in zip(per_curve, pairs) if rhos[i] < rhos[j]),
         per_curve=tuple(per_curve),
     )
 
@@ -352,10 +376,12 @@ def intersection_count(h1: Hyperbola, h2: Hyperbola) -> IntersectionResult:
         qa = 1 - slope * slope
         qb = 2 * (h1.alpha - slope * w)
         qc = h1.alpha * h1.alpha - w * w + h1.gamma
-        if qa == 0:
-            if qb == 0:
-                # the radical line would lie inside h1, impossible for gamma != 0
-                raise AssertionError("radical line cannot be contained in a curve")
+        if qa == 0 and qb == 0:
+            # the radical line is parallel to an asymptote and misses h1: on
+            # it the equation reads qc = 0, and qc != 0 because a curve with
+            # gamma != 0 contains no line
+            count = 0
+        elif qa == 0:
             x = -qc / qb
             points.append((x, slope * x + inter))
             count = 1
@@ -390,8 +416,6 @@ def intersection_count(h1: Hyperbola, h2: Hyperbola) -> IntersectionResult:
             if root is not None:
                 points.append((x0, -h1.beta - root))
                 points.append((x0, -h1.beta + root))
-    if count > 2:
-        raise AssertionError("a curve pair cannot meet more than twice")
     for pt in points:
         if not (h1.contains(*pt) and h2.contains(*pt)):
             raise AssertionError(f"computed point {pt} fails the curve equations")

@@ -7,14 +7,11 @@ when the source is a coordinate config already satisfying the c = 1
 conditions (the cylinder construction violates them on purpose, so its
 incidence columns stay empty). Rows are ordered by (n, m, seed) and every
 cell is formatted deterministically: the same spec writes byte-identical
-CSV on every run. DDLAB_THREADS > 1 computes rows concurrently without
-changing the output.
+CSV on every run.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -137,21 +134,9 @@ def compute_row(spec: SweepSpec, n: int, m: int, seed: int) -> SweepRow:
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("DDLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     tasks = sorted(product(spec.n_list, spec.m_list, spec.seeds))
-    workers = _worker_count()
-    if workers == 1:
-        return [compute_row(spec, n, m, seed) for n, m, seed in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: compute_row(spec, *t), tasks))
+    return [compute_row(spec, n, m, seed) for n, m, seed in tasks]
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

@@ -8,6 +8,12 @@ from fractions import Fraction
 from ddlab import Config, Point, gen_random
 
 
+# A valid c=1 config whose axis coordinates and rho_sq values are both in
+# arithmetic progression: two of its curves have a radical line parallel to
+# an asymptote that misses both curves.
+RADICAL_LINE = Config.of(2, 1, [0, 1, 2, 3], [(0, 1), (1, 5), (2, 7)])
+
+
 def small_random_config(seed: int, max_nm: int = 12, ks: tuple[int, ...] = (2, 3, 4)) -> Config:
     """A c=1 random config with dims derived from the seed, always valid."""
     rng = random.Random(seed ^ 0x5EED)

@@ -10,7 +10,8 @@ import pytest
 
 from ddlab import energy_report, gen_random
 from ddlab.cli import main
-from ddlab.io import load_source
+from ddlab.io import load_source, save_source
+from conftest import RADICAL_LINE
 
 
 def run_cli(*argv: str, capsys) -> tuple[int, str]:
@@ -132,6 +133,14 @@ class TestVerify:
         code, out = run_cli("verify", "--input", str(path), capsys=capsys)
         assert code == 1
         assert "FAIL constraints" in out
+
+    def test_radical_line_fixture_passes(self, tmp_path, capsys):
+        path = tmp_path / "cfg.csv"
+        save_source(RADICAL_LINE, path)
+        code, out = run_cli("verify", "--input", str(path), capsys=capsys)
+        assert code == 0
+        assert "FAIL" not in out
+        assert "PASS intersections" in out
 
     def test_m1_skips_reduction_checks(self, tmp_path, capsys):
         path = tmp_path / "cfg.csv"

@@ -34,7 +34,7 @@ from ddlab import (
     sq_dist,
     verify_bijection,
 )
-from conftest import fractional_config, small_random_config
+from conftest import RADICAL_LINE, fractional_config, small_random_config
 
 WORKED = Config.of(2, 1, [0, 2], [(0, 1), (1, 2)])
 
@@ -90,9 +90,11 @@ class TestBuildFamily:
             build_family(Config.of(2, 1, [0], [(0, 1)]))
 
     def test_duplicate_curve_error_exists(self):
-        # unreachable through build_family (the degenerate pair fires first);
-        # the defensive error stays importable for direct constructions
-        assert issubclass(DuplicateCurveError, Exception)
+        # mirror images (5, 2) and (5, -2) give pairs (0, 1) and (0, 2) one
+        # curve, and row 0 is scanned before the degenerate pair (1, 2)
+        cfg = Config.of(2, 2, [0], [(0, 1), (5, 2), (5, -2)])
+        with pytest.raises(DuplicateCurveError, match=r"\(0, 2\) repeats the curve of pair \(0, 1"):
+            build_family(cfg)
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,6 +288,12 @@ class TestIntersections:
             assert len(res.points) <= res.count
             for pt in res.points:
                 assert h1.contains(*pt) and h2.contains(*pt)
+
+    def test_radical_line_parallel_to_asymptote(self):
+        by_src = {h.src: h for h in build_family(RADICAL_LINE).curves}
+        for a, b in (((0, 1), (1, 2)), ((1, 0), (2, 1))):
+            res = intersection_count(by_src[a], by_src[b])
+            assert res.count == 0 and res.points == ()
 
     def test_family_pairs_cross_at_most_twice(self):
         cfg = gen_random(n=3, m=6, k=2, seed=21, coord_range=90)

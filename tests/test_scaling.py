@@ -1,0 +1,144 @@
+"""The int kernels against the rational reference paths on mixed denominators.
+
+energy_report, build_family and both incidence modes scale their input once
+into plain ints; distance_classes and the oracles stay on the original
+rationals. Each coordinate here draws its own denominator, so the common
+scale is a genuine lcm, sometimes set by the transverse coordinates alone.
+"""
+
+from __future__ import annotations
+
+import io
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ddlab import (
+    Config,
+    ParamGrid,
+    SqDistMatrix,
+    build_family,
+    distance_classes,
+    energy,
+    energy_report,
+    format_rational,
+    incidences,
+    oracle_incidences,
+    oracle_quadruples,
+    rho_sq,
+    validate_constraints,
+)
+from ddlab.io import write_gamma_csv
+from conftest import fractional_config
+
+DENOMINATORS = (1, 2, 3, 5, 7, 12)
+
+
+def rationals(integral: bool = False):
+    dens = st.just(1) if integral else st.sampled_from(DENOMINATORS)
+    return st.builds(Fraction, st.integers(-40, 40), dens)
+
+
+@st.composite
+def mixed_configs(draw) -> Config:
+    """A c=1 config; with only_transverse the scale comes from rho_sq alone."""
+    k = draw(st.sampled_from((2, 3)))
+    axis_integral = draw(st.booleans())
+    params = draw(st.lists(rationals(axis_integral), min_size=1, max_size=5, unique=True))
+    points = draw(
+        st.lists(
+            st.tuples(rationals(axis_integral), *[rationals() for _ in range(k - 1)]),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    cfg = Config.of(k=k, c=1, p1_params=params, p2_points=points)
+    assume(validate_constraints(cfg).ok)
+    return cfg
+
+
+def _per_curve_oracle(grid: ParamGrid, family) -> list[int]:
+    return [
+        sum(1 for s in grid.params for t in grid.params if h.contains(s, t))
+        for h in family.curves
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    mixed_configs(),
+    st.lists(rationals(), min_size=1, max_size=5, unique=True),
+)
+def test_int_kernels_match_rational_references(cfg, foreign_params):
+    rep = energy_report(cfg)
+    assert rep == energy(distance_classes(cfg))
+    assert (rep.energy, rep.energy_same_point, rep.energy_cross) == oracle_quadruples(cfg)
+    mat = SqDistMatrix.from_config(cfg)
+    assert energy_report(mat) == rep
+
+    family = build_family(cfg)
+    rhos = [rho_sq(p) for p in cfg.p2_points]
+    xs = [p.coords[0] for p in cfg.p2_points]
+    expected = [
+        ((i, j), -xs[i], -xs[j], rhos[i] - rhos[j])
+        for i in range(cfg.m)
+        for j in range(cfg.m)
+        if i != j
+    ]
+    assert [(h.src, h.alpha, h.beta, h.gamma) for h in family.curves] == expected
+
+    buf = io.StringIO()
+    write_gamma_csv(family, buf)
+    assert buf.getvalue() == "p_idx,q_idx,alpha,beta,gamma\n" + "".join(
+        f"{i},{j},{format_rational(a)},{format_rational(b)},{format_rational(g)}\n"
+        for (i, j), a, b, g in expected
+    )
+
+    # the config's own grid, then one whose denominators the family's scale misses
+    for grid in (ParamGrid.from_config(cfg), ParamGrid(params=tuple(sorted(foreign_params)))):
+        fast = incidences(grid, family, mode="hash")
+        assert fast == incidences(grid, family, mode="naive")
+        assert list(fast.per_curve) == _per_curve_oracle(grid, family)
+        assert fast.total == oracle_incidences(grid, family)
+    assert incidences(ParamGrid.from_config(cfg), family).total == rep.energy_cross
+
+
+def test_fractional_matrix_entries():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    mat = SqDistMatrix(
+        n=3,
+        m=3,
+        entries=(
+            (half, Fraction(3, 4), third),
+            (Fraction(3, 4), half, Fraction(5, 6)),
+            (Fraction(1), third, Fraction(2, 4)),
+        ),
+        provenance="file",
+    )
+    rep = energy_report(mat)
+    assert rep == energy(distance_classes(mat))
+    assert (rep.energy, rep.energy_same_point, rep.energy_cross) == oracle_quadruples(mat)
+    assert rep.distinct_count == 5
+    assert set(distance_classes(mat).classes) == {half, Fraction(3, 4), third, Fraction(5, 6), 1}
+
+
+def test_kernels_do_no_fraction_arithmetic(monkeypatch):
+    cfg = fractional_config(4, n=5, m=5, k=3)
+    mat = SqDistMatrix.from_config(cfg)
+    grid = ParamGrid(params=(Fraction(1, 7), Fraction(2, 5), Fraction(3)))
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic inside an int kernel")
+
+    for op in ("add", "sub", "mul", "truediv", "pow"):
+        monkeypatch.setattr(Fraction, f"__{op}__", refuse)
+        monkeypatch.setattr(Fraction, f"__r{op}__", refuse)
+    for op in ("eq", "lt", "le", "gt", "ge", "hash"):
+        monkeypatch.setattr(Fraction, f"__{op}__", refuse)
+    energy_report(cfg)
+    energy_report(mat)
+    family = build_family(cfg)
+    for g in (ParamGrid.from_config(cfg), grid):
+        incidences(g, family, mode="hash")
+        incidences(g, family, mode="naive")

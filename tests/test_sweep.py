@@ -23,16 +23,6 @@ def test_byte_identical_runs():
     assert first == second
 
 
-def test_threads_do_not_change_output(monkeypatch):
-    spec = SweepSpec(n_list=(2, 4, 6), m_list=(3, 5), seeds=(0, 1))
-    sequential = rows_to_csv(run_sweep(spec))
-    monkeypatch.setenv("DDLAB_THREADS", "4")
-    threaded = rows_to_csv(run_sweep(spec))
-    assert sequential == threaded
-    monkeypatch.setenv("DDLAB_THREADS", "not-a-number")
-    assert rows_to_csv(run_sweep(spec)) == sequential
-
-
 def test_rows_ordered_by_n_m_seed():
     spec = SweepSpec(n_list=(5, 2), m_list=(4, 3), seeds=(1, 0))
     rows = run_sweep(spec)
