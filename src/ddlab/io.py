@@ -11,13 +11,14 @@ formats apart.
 from __future__ import annotations
 
 import io as _io
+import math
 from pathlib import Path
 from typing import TextIO, Union
 
 from .configs import SqDistMatrix
 from .errors import FormatError
 from .exact import Config, Point, format_rational, parse_rational
-from .reduction import HyperbolaFamily
+from .reduction import HyperbolaFamily, _ordered_pairs
 
 Source = Union[Config, SqDistMatrix]
 
@@ -96,13 +97,25 @@ def read_matrix(stream: TextIO) -> SqDistMatrix:
         raise FormatError(str(exc)) from exc
 
 
+def _format_ratio(num: int, den: int) -> str:
+    """format_rational of num / den (den > 0), reduced with one gcd."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def write_gamma_csv(family: HyperbolaFamily, stream: TextIO) -> None:
-    """One curve per row: source pair indices and the three coefficients."""
+    """One curve per row: source pair indices and the three coefficients.
+
+    Reads the family's int columns: each of the m axis values -firsts / scale
+    is formatted once, and each gamma is reduced by a gcd, not a Fraction.
+    """
+    rhos, sq = family.rhos, family.scale * family.scale
+    axis = [_format_ratio(-x, family.scale) for x in family.firsts]
     stream.write("p_idx,q_idx,alpha,beta,gamma\n")
-    for (i, j), alpha, beta, gamma in family.coefficients():
-        stream.write(
-            f"{i},{j},{format_rational(alpha)},{format_rational(beta)},{format_rational(gamma)}\n"
-        )
+    stream.writelines(
+        f"{i},{j},{axis[i]},{axis[j]},{_format_ratio(rhos[i] - rhos[j], sq)}\n"
+        for i, j in _ordered_pairs(family.m)
+    )
 
 
 def load_source(path: str | Path) -> Source:

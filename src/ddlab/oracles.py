@@ -2,8 +2,13 @@
 
 These recompute the quadruple counts and the incidence count straight from
 their definitions, sharing no counting logic with the fast paths they
-check. Guards keep them at desk scale; past the guard they refuse rather
-than silently take minutes.
+check. They work on the original rationals, never on the scaled int view
+or a hash table, so they check the scaling and the hash join
+independently. Each rational is compared as its reduced (numerator,
+denominator) pair, which equals another pair exactly when the values are
+equal; every ordered pair of pairs and every (curve, grid point) is still
+compared. Guards, checked before any table is built, keep them at desk
+scale; past the guard they refuse rather than silently take minutes.
 """
 
 from __future__ import annotations
@@ -24,27 +29,22 @@ INCIDENCE_GUARD = 10_000_000  # max n^2 * curve count
 
 def oracle_quadruples(src: Source) -> tuple[int, int, int]:
     """(Q, Q0, Q1) by enumerating all ordered pairs of distinct (i, j) pairs."""
-    if isinstance(src, SqDistMatrix):
-        n, m = src.n, src.m
-        table = src.entries
-    else:
-        n, m = src.n, src.m
-        table = tuple(
-            tuple(sq_dist(a, p) for p in src.p2_points) for a in src.p1_params
-        )
+    n, m = src.n, src.m
     if n * m > QUADRUPLE_GUARD:
         raise TooLargeError(f"n*m = {n * m} exceeds the oracle guard {QUADRUPLE_GUARD}")
-    flat = [(i, j, table[i][j]) for i in range(n) for j in range(m)]
+    if isinstance(src, SqDistMatrix):
+        table = src.entries
+    else:
+        table = [[sq_dist(a, p) for p in src.p2_points] for a in src.p1_params]
+    flat = [(j, _key(d)) for row in table for j, d in enumerate(row)]
     q = 0
     q0 = 0
-    for i, j, d in flat:
-        for k, l, e in flat:
-            if (i, j) == (k, l):
-                continue
-            if d == e:
-                q += 1
-                if j == l:
-                    q0 += 1
+    for j, d in flat:
+        # the columns of every pair (k, l) with the same squared distance,
+        # (i, j) itself included once
+        same = [l for l, e in flat if e == d]
+        q += len(same) - 1
+        q0 += same.count(j) - 1
     return q, q0, q - q0
 
 
@@ -55,12 +55,14 @@ def oracle_incidences(grid: ParamGrid, family: HyperbolaFamily) -> int:
         raise TooLargeError(f"n^2 * curves = {work} exceeds the oracle guard {INCIDENCE_GUARD}")
     total = 0
     for h in family.curves:
-        alpha, beta, gamma = h.alpha, h.beta, h.gamma
-        for s in grid.params:
-            u = s + alpha
-            lhs = u * u + gamma
-            for t in grid.params:
-                v = t + beta
-                if lhs == v * v:
-                    total += 1
+        # (s, t) is on h iff (s + alpha)^2 + gamma == (t + beta)^2
+        lhs = [_key((s + h.alpha) ** 2 + h.gamma) for s in grid.params]
+        rhs = [_key((t + h.beta) ** 2) for t in grid.params]
+        for left in lhs:
+            total += rhs.count(left)
     return total
+
+
+def _key(value: Fraction) -> tuple[int, int]:
+    """A rational as its reduced (numerator, denominator): equal keys iff equal values."""
+    return value.numerator, value.denominator

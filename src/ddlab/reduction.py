@@ -19,8 +19,9 @@ rational coefficients, are built only for callers that ask for them.
 
 Subtracting two curve equations cancels the quadratic part, leaving a line,
 so two distinct curves of the family meet in at most two points: the family
-behaves like pseudo-parabolas. Intersection counting is exact, via the sign
-of a rational discriminant; intersection points are materialized only when
+behaves like pseudo-parabolas. Intersection counting is exact: it clears
+the denominators of the two curves and reads the sign of an integer
+discriminant; intersection points are materialized, as Fractions, only when
 their coordinates are rational.
 """
 
@@ -116,16 +117,14 @@ class HyperbolaFamily:
     def __len__(self) -> int:
         return self.m * (self.m - 1)
 
-    def coefficients(self) -> Iterator[tuple[tuple[int, int], Fraction, Fraction, Fraction]]:
-        """(src, alpha, beta, gamma) of every curve, in order, as Fractions."""
-        axis = [Fraction(-x, self.scale) for x in self.firsts]
-        sq = self.scale * self.scale
-        for i, j in _ordered_pairs(self.m):
-            yield (i, j), axis[i], axis[j], Fraction(self.rhos[i] - self.rhos[j], sq)
-
     @cached_property
     def curves(self) -> tuple[Hyperbola, ...]:
-        return tuple(Hyperbola(a, b, g, src) for src, a, b, g in self.coefficients())
+        axis = [Fraction(-x, self.scale) for x in self.firsts]
+        sq = self.scale * self.scale
+        return tuple(
+            Hyperbola(axis[i], axis[j], Fraction(self.rhos[i] - self.rhos[j], sq), (i, j))
+            for i, j in _ordered_pairs(self.m)
+        )
 
     @property
     def positive_count(self) -> int:
@@ -317,19 +316,6 @@ def classify_side(s: Rational | str, t: Rational | str, h: Hyperbola) -> Branch:
     return Branch.RIGHT if sv > -h.alpha else Branch.LEFT
 
 
-def _rational_sqrt(value: Fraction) -> Fraction | None:
-    """Exact square root when value is the square of a rational, else None."""
-    if value < 0:
-        return None
-    num = value.numerator
-    den = value.denominator
-    rn = math.isqrt(num)
-    rd = math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
 @dataclass(frozen=True)
 class IntersectionResult:
     """Real intersection count (0, 1 or 2) plus the rational points, if any.
@@ -349,73 +335,72 @@ def intersection_count(h1: Hyperbola, h2: Hyperbola) -> IntersectionResult:
     coefficients all vanish apart from the constant, the curves differ only
     in gamma and never meet. Otherwise the line is substituted back and the
     discriminant sign counts the crossings: always at most two.
+
+    Runs on ints: with L the lcm of the six coefficient denominators, X = L x
+    and Y = L y give integral a = L alpha, b = L beta and g = L^2 gamma, and
+    each quantity is the rational one times a positive square (L^2, lb^2 or
+    la^2), which keeps every sign and every perfect square.
     """
-    if (h1.alpha, h1.beta, h1.gamma) == (h2.alpha, h2.beta, h2.gamma):
+    coeffs = (h1.alpha, h1.beta, h1.gamma, h2.alpha, h2.beta, h2.gamma)
+    scale = math.lcm(*(v.denominator for v in coeffs))
+    factors = (scale, scale, scale * scale) * 2
+    a1, b1, g1, a2, b2, g2 = (v.numerator * (f // v.denominator) for v, f in zip(coeffs, factors))
+    if (a1, b1, g1) == (a2, b2, g2):
         raise IdenticalCurvesError("needs two distinct curves")
-    la = 2 * (h1.alpha - h2.alpha)
-    lb = -2 * (h1.beta - h2.beta)
-    lc = (
-        h1.alpha * h1.alpha
-        - h2.alpha * h2.alpha
-        - h1.beta * h1.beta
-        + h2.beta * h2.beta
-        + h1.gamma
-        - h2.gamma
-    )
+    # radical line la X + lb Y + lc = 0
+    la = 2 * (a1 - a2)
+    lb = -2 * (b1 - b2)
+    lc = a1 * a1 - a2 * a2 - b1 * b1 + b2 * b2 + g1 - g2
     if la == 0 and lb == 0:
         # same (alpha, beta), different gamma: the "radical line" is the
         # contradiction 0 = lc with lc != 0, so the curves are disjoint
         return IntersectionResult(count=0, points=())
-    points: list[tuple[Fraction, Fraction]] = []
+    roots: list[tuple[Fraction, Fraction]] = []  # (X, Y) of rational crossings
     if lb != 0:
-        # y = slope * x + inter on the line; substitute into h1
-        slope = -la / lb
-        inter = -lc / lb
-        # (x + alpha1)^2 - (slope * x + inter + beta1)^2 + gamma1 = 0
-        w = inter + h1.beta
-        qa = 1 - slope * slope
-        qb = 2 * (h1.alpha - slope * w)
-        qc = h1.alpha * h1.alpha - w * w + h1.gamma
+        # Y = -(la X + lc) / lb; lb^2 times curve 1 reads
+        # lb^2 (X + a1)^2 - (la X - w)^2 + lb^2 g1 = 0 with w = lb b1 - lc
+        w = lb * b1 - lc
+        qa = lb * lb - la * la
+        qb = 2 * (lb * lb * a1 + la * w)
+        qc = lb * lb * (a1 * a1 + g1) - w * w
+        xs: list[Fraction] = []
         if qa == 0 and qb == 0:
             # the radical line is parallel to an asymptote and misses h1: on
             # it the equation reads qc = 0, and qc != 0 because a curve with
             # gamma != 0 contains no line
             count = 0
         elif qa == 0:
-            x = -qc / qb
-            points.append((x, slope * x + inter))
+            xs.append(Fraction(-qc, qb))
             count = 1
         else:
             disc = qb * qb - 4 * qa * qc
             if disc < 0:
                 count = 0
             elif disc == 0:
-                x = -qb / (2 * qa)
-                points.append((x, slope * x + inter))
+                xs.append(Fraction(-qb, 2 * qa))
                 count = 1
             else:
                 count = 2
-                root = _rational_sqrt(disc)
-                if root is not None:
-                    for sign in (-1, 1):
-                        x = (-qb + sign * root) / (2 * qa)
-                        points.append((x, slope * x + inter))
+                root = math.isqrt(disc)
+                if root * root == disc:
+                    xs += [Fraction(-qb + sign * root, 2 * qa) for sign in (-1, 1)]
+        roots = [(x, -(la * x + lc) / lb) for x in xs]
     else:
-        # vertical radical line x = x0
-        x0 = -lc / la
-        u = x0 + h1.alpha
-        rhs = u * u + h1.gamma  # (y + beta1)^2 must equal this
+        # vertical radical line X = -lc / la; la^2 times curve 1 reads
+        # (la (Y + b1))^2 = (la a1 - lc)^2 + la^2 g1
+        x0 = Fraction(-lc, la)
+        rhs = (la * a1 - lc) ** 2 + la * la * g1
         if rhs < 0:
             count = 0
         elif rhs == 0:
             count = 1
-            points.append((x0, -h1.beta))
+            roots.append((x0, Fraction(-b1)))
         else:
             count = 2
-            root = _rational_sqrt(rhs)
-            if root is not None:
-                points.append((x0, -h1.beta - root))
-                points.append((x0, -h1.beta + root))
+            root = math.isqrt(rhs)
+            if root * root == rhs:
+                roots += [(x0, Fraction(sign * root, la) - b1) for sign in (-1, 1)]
+    points = [(x / scale, y / scale) for x, y in roots]
     for pt in points:
         if not (h1.contains(*pt) and h2.contains(*pt)):
             raise AssertionError(f"computed point {pt} fails the curve equations")

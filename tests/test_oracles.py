@@ -6,16 +6,20 @@ from fractions import Fraction
 
 import pytest
 
+import ddlab.oracles
+
 from ddlab import (
     Config,
     ParamGrid,
     SqDistMatrix,
     TooLargeError,
     build_family,
+    gen_cylinder_extremal,
     gen_random,
     oracle_incidences,
     oracle_quadruples,
 )
+from ddlab.oracles import QUADRUPLE_GUARD
 
 
 def test_quadruple_oracle_on_tiny_config():
@@ -32,6 +36,18 @@ def test_quadruple_oracle_guard():
     )
     with pytest.raises(TooLargeError):
         oracle_quadruples(mat)
+
+
+def test_quadruple_oracle_guard_comes_before_the_table(monkeypatch):
+    cfg = gen_cylinder_extremal(50, 50)
+    assert cfg.n * cfg.m > QUADRUPLE_GUARD
+
+    def no_distances(*args):
+        raise AssertionError("sq_dist called before the guard")
+
+    monkeypatch.setattr(ddlab.oracles, "sq_dist", no_distances)
+    with pytest.raises(TooLargeError):
+        oracle_quadruples(cfg)
 
 
 def test_incidence_oracle_guard():

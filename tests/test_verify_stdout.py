@@ -1,0 +1,38 @@
+"""ddlab verify's stdout, pinned byte for byte on four recorded inputs.
+
+tests/data/verify holds each input (<name>.csv) with the text (<name>.txt)
+and --json (<name>.json) stdout recorded before the oracles and
+intersection_count moved to key and int arithmetic: a random c=1 config with
+fractional coordinates, a 50x50 cylinder config past the quadruple oracle's
+guard (the SKIP path), the radical-line fixture and an orthogonal matrix.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from ddlab.cli import main
+from ddlab.io import load_source
+from ddlab.oracles import QUADRUPLE_GUARD
+from conftest import RADICAL_LINE
+
+DATA = Path(__file__).parent / "data" / "verify"
+INPUTS = ("fractional", "cylinder", "radical-line", "matrix")
+
+
+@pytest.mark.parametrize("name", INPUTS)
+@pytest.mark.parametrize("form", ("txt", "json"))
+def test_stdout_is_pinned(name, form, capsys):
+    argv = ["verify", "--input", str(DATA / f"{name}.csv")] + (["--json"] if form == "json" else [])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (DATA / f"{name}.{form}").read_text(encoding="utf-8")
+
+
+def test_recorded_inputs():
+    assert load_source(DATA / "radical-line.csv") == RADICAL_LINE
+    frac = load_source(DATA / "fractional.csv")
+    assert any(v.denominator > 1 for p in frac.p2_points for v in p.coords)
+    cyl = load_source(DATA / "cylinder.csv")
+    assert cyl.n * cyl.m > QUADRUPLE_GUARD
