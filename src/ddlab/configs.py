@@ -145,7 +145,7 @@ class SqDistMatrix:
                 raise ValueError("column count does not match m")
             vals = tuple(v if type(v) is Fraction else Fraction(v) for v in row)
             for v in vals:
-                if v < 0:
+                if v.numerator < 0:  # denominators are positive
                     raise ValueError("squared distances cannot be negative")
             rows.append(vals)
         object.__setattr__(self, "entries", tuple(rows))

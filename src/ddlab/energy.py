@@ -15,6 +15,14 @@ energy_report counts on plain ints: it scales a config once with
 exact.int_view (every squared distance times L^2) and a matrix by the common
 denominator of its entries, and one positive factor keeps every equality.
 distance_classes stays on the original rationals and checks that scaling.
+
+energy_report has two kernels. The stdlib kernel streams one column at a
+time through Counters; it runs on every input and is the reference. On
+inputs of at least NUMPY_MIN_PAIRS pairs the numpy kernel sorts an int64
+table instead, provided numpy can be imported and a bound computed up
+front in Python ints keeps every intermediate value below 2^63; otherwise
+energy_report falls back to the stdlib kernel. numpy is imported only
+there, so smaller inputs never pay for loading it.
 """
 
 from __future__ import annotations
@@ -27,6 +35,11 @@ from .configs import SqDistMatrix
 from .exact import Config, common_denominator, int_view, rho_sq, scaled_ints
 
 Source = Union[Config, SqDistMatrix]
+
+# Measured break-even of the numpy kernel: at 2^18 pairs the stdlib kernel
+# (about 0.6 us per pair) takes about as long as importing numpy and sorting.
+NUMPY_MIN_PAIRS = 1 << 18
+_INT64_LIMIT = 1 << 63
 
 
 def _scaled_columns(src: Source) -> Iterator[list[int]]:
@@ -150,26 +163,106 @@ def energy(classes: DistanceClasses) -> EnergyReport:
 def energy_report(src: Source) -> EnergyReport:
     """EnergyReport straight from a source, without materializing pair lists.
 
-    Streams one scaled int column at a time: the global size table yields x,
-    Q and the histogram, the per-column table yields Q0. Agrees exactly with
-    energy(distance_classes(src)); this route just keeps memory flat on
-    large inputs.
+    Agrees exactly with energy(distance_classes(src)). Large inputs go to the
+    numpy kernel when it can count them exactly, everything else to the
+    stdlib kernel (see the module docstring).
+    """
+    if src.n * src.m >= NUMPY_MIN_PAIRS:
+        rep = _numpy_report(src)
+        if rep is not None:
+            return rep
+    return _stdlib_report(src)
+
+
+def _stdlib_report(src: Source) -> EnergyReport:
+    """The reference kernel: streams one scaled int column at a time.
+
+    The global size table yields x, Q and the histogram, the per-column
+    table yields Q0; memory stays flat on large inputs.
     """
     sizes: Counter = Counter()
     q0 = 0
     for col in _scaled_columns(src):
         sizes.update(col)
         q0 += sum(c * (c - 1) for c in Counter(col).values() if c > 1)
-    hist = Counter(sizes.values())
-    q = sum(e * (e - 1) * count for e, count in hist.items())
+    return _report(src, len(sizes), q0, Counter(sizes.values()).items())
+
+
+def _numpy_report(src: Source) -> EnergyReport | None:
+    """The int64 kernel: sorted runs of an (m, n) table of scaled squared distances.
+
+    Returns None, before importing anything, when the bound on the largest
+    intermediate value (|a - x| squared plus rho for a config, the largest
+    scaled entry for a matrix) is not below 2^63, and None when numpy
+    cannot be imported.
+    """
+    if isinstance(src, SqDistMatrix):
+        scale = common_denominator(v for row in src.entries for v in row)
+        cols = [scaled_ints(col, scale) for col in zip(*src.entries)]
+        bound = max(map(max, cols))
+    else:
+        view = int_view(src)
+        bound = (max(map(abs, view.params)) + max(map(abs, view.firsts))) ** 2 + max(view.rhos)
+    if bound >= _INT64_LIMIT:
+        return None
+    try:
+        import numpy as np
+    except ImportError:  # numpy is optional; the stdlib kernel gives the same report
+        return None
+
+    if isinstance(src, SqDistMatrix):
+        table = np.array(cols, dtype=np.int64)
+        del cols
+    else:
+        table = np.subtract.outer(
+            np.array(view.firsts, dtype=np.int64), np.array(view.params, dtype=np.int64)
+        )
+        np.multiply(table, table, out=table)
+        table += np.array(view.rhos, dtype=np.int64)[:, None]
+    flat = table.reshape(-1)
+    starts = np.empty(flat.size, dtype=bool)
+    table.sort(axis=1)
+    # the per-row run lengths are dropped before the second pass allocates its own
+    q0 = sum(c * (c - 1) * k for c, k in _value_counts(np, _run_lengths(np, flat, starts, src.n)))
+    flat.sort()
+    runs = _run_lengths(np, flat, starts, flat.size)
+    return _report(src, len(runs), q0, _value_counts(np, runs))
+
+
+def _run_lengths(np, flat, starts, row: int):
+    """Lengths of the runs of equal values in each sorted row of `row` entries.
+
+    starts is a scratch bool buffer of flat's size; a run never crosses a
+    row boundary.
+    """
+    starts[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    starts[::row] = True
+    first = np.flatnonzero(starts)
+    runs = np.empty_like(first)  # np.diff(np.append(...)) would hold two more copies
+    np.subtract(first[1:], first[:-1], out=runs[:-1])
+    runs[-1] = flat.size - first[-1]
+    return runs
+
+
+def _value_counts(np, values) -> list[tuple[int, int]]:
+    """(value, how many times it occurs) for an int array, as Python ints."""
+    uniq, counts = np.unique(values, return_counts=True)
+    return list(zip(uniq.tolist(), counts.tolist()))
+
+
+def _report(src: Source, distinct: int, q0: int, hist) -> EnergyReport:
+    """An EnergyReport from x, Q0 and the (class size, count) histogram."""
+    hist = sorted(hist)
+    q = sum(e * (e - 1) * count for e, count in hist)
     return EnergyReport(
         n=src.n,
         m=src.m,
-        distinct_count=len(sizes),
+        distinct_count=distinct,
         energy=q,
         energy_same_point=q0,
         energy_cross=q - q0,
-        class_histogram=tuple(sorted(hist.items())),
+        class_histogram=tuple(hist),
     )
 
 

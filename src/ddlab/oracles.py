@@ -54,10 +54,14 @@ def oracle_incidences(grid: ParamGrid, family: HyperbolaFamily) -> int:
     if work > INCIDENCE_GUARD:
         raise TooLargeError(f"n^2 * curves = {work} exceeds the oracle guard {INCIDENCE_GUARD}")
     total = 0
+    rhs_by_beta: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for h in family.curves:
         # (s, t) is on h iff (s + alpha)^2 + gamma == (t + beta)^2
         lhs = [_key((s + h.alpha) ** 2 + h.gamma) for s in grid.params]
-        rhs = [_key((t + h.beta) ** 2) for t in grid.params]
+        beta = _key(h.beta)
+        if beta not in rhs_by_beta:
+            rhs_by_beta[beta] = [_key((t + h.beta) ** 2) for t in grid.params]
+        rhs = rhs_by_beta[beta]
         for left in lhs:
             total += rhs.count(left)
     return total

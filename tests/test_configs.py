@@ -167,8 +167,11 @@ class TestSqDistMatrix:
     def test_shape_and_sign_checks(self):
         with pytest.raises(ValueError):
             SqDistMatrix(n=2, m=1, entries=((Fraction(1),),), provenance="file")
-        with pytest.raises(ValueError):
-            SqDistMatrix(n=1, m=1, entries=((Fraction(-1),),), provenance="file")
+        for bad in (Fraction(-1), Fraction(-1, 3), -2):
+            with pytest.raises(ValueError):
+                SqDistMatrix(n=1, m=1, entries=((bad,),), provenance="file")
+        zero = SqDistMatrix(n=1, m=2, entries=((0, Fraction(0, 5)),), provenance="file")
+        assert zero.entries == ((Fraction(0), Fraction(0)),)
 
 
 class TestGenRandom:

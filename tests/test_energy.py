@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+import importlib
+import json
+import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +19,7 @@ from hypothesis import strategies as st
 
 from ddlab import (
     Config,
+    Point,
     SqDistMatrix,
     check_chain,
     distance_classes,
@@ -18,11 +27,17 @@ from ddlab import (
     energy_report,
     gen_cylinder_extremal,
     gen_orthogonal_extremal,
+    gen_random,
     oracle_quadruples,
     sq_dist,
     translate_along_axis,
 )
+from ddlab.energy import NUMPY_MIN_PAIRS, _numpy_report, _stdlib_report
+from ddlab.exact import common_denominator, int_view
 from conftest import clustered_config, fractional_config, small_random_config
+
+# the module, not the function ddlab.energy that the package exports
+energy_mod = importlib.import_module("ddlab.energy")
 
 WORKED = Config.of(2, 1, [0, 2], [(0, 1), (1, 2)])
 
@@ -194,3 +209,126 @@ class TestInvariance:
         b = energy_report(shuffled)
         assert a.class_histogram == b.class_histogram
         assert (a.energy, a.energy_same_point) == (b.energy, b.energy_same_point)
+
+
+# The numpy kernel against the stdlib kernel, which is its reference.
+
+INT64_LIMIT = 1 << 63
+
+
+@st.composite
+def kernel_sources(draw):
+    """An int or fractional config with k = 2..4, or a small matrix; small
+    ranges so that classes, mirror pairs and repeated columns are common."""
+    kind = draw(st.sampled_from(("int", "fraction", "matrix")))
+    if kind == "matrix":
+        n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        entry = st.builds(Fraction, st.integers(0, 8), st.sampled_from((1, 2, 3)))
+        row = st.lists(entry, min_size=m, max_size=m).map(tuple)
+        entries = draw(st.lists(row, min_size=n, max_size=n).map(tuple))
+        return SqDistMatrix(n=n, m=m, entries=entries, provenance="file")
+    dens = (1,) if kind == "int" else (1, 2, 3, 6, 7)
+    value = st.builds(Fraction, st.integers(-6, 6), st.sampled_from(dens))
+    k = draw(st.integers(2, 4))
+    params = draw(st.lists(value, min_size=1, max_size=7, unique=True))
+    points = draw(st.lists(st.tuples(*[value] * k), min_size=1, max_size=7))
+    return Config.of(k=k, c=len(points), p1_params=params, p2_points=points)
+
+
+def near_int64_limit(src, above: bool, slack: int):
+    """src with one far value added: the numpy kernel's bound on the largest
+    intermediate value lands just below 2^63, or at or just above it."""
+    if isinstance(src, SqDistMatrix):
+        scale = common_denominator(v for row in src.entries for v in row)
+        far = Fraction(INT64_LIMIT + slack if above else INT64_LIMIT - 1 - slack, scale)
+        # a whole row of the far value, so that a class sits at the top of the range
+        return SqDistMatrix(src.n + 1, src.m, src.entries + ((far,) * src.m,), "file")
+    # one far point at scaled squared axis distance 2^62, half the budget, and
+    # on the far side of the largest axis parameter: (|top| + s)^2 + 2^62 is
+    # both the bound and the largest table entry
+    view = int_view(src)
+    top = max(view.params, key=abs)
+    rho = 1 << 62
+    s = math.isqrt(INT64_LIMIT - 1 - rho) - abs(top) - slack + (slack + 1 if above else 0)
+    x = Fraction(-s if top >= 0 else s, view.scale)
+    far = (x, Fraction(math.isqrt(rho), view.scale)) + (Fraction(0),) * (src.k - 2)
+    return Config(src.k, src.c, src.p1_params, src.p2_points + (Point(far),))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_sources(), st.sampled_from((None, False, True)), st.integers(0, 3))
+def test_numpy_kernel_matches_stdlib(src, near, slack):
+    pytest.importorskip("numpy")
+    if near is not None:
+        src = near_int64_limit(src, above=near, slack=slack)
+    ref = _stdlib_report(src)
+    if near:
+        assert _numpy_report(src) is None
+    else:
+        assert _numpy_report(src) == ref
+    assert ref == energy(distance_classes(src))
+
+
+def test_over_the_limit_takes_the_stdlib_path():
+    cfg = near_int64_limit(gen_cylinder_extremal(512, 511), above=True, slack=0)
+    assert cfg.n * cfg.m == NUMPY_MIN_PAIRS
+    assert _numpy_report(cfg) is None
+    assert energy_report(cfg) == _stdlib_report(cfg)
+
+
+def test_threshold_routes_only_large_inputs_to_numpy(monkeypatch):
+    seen = []
+
+    def spy(src):
+        seen.append(src.n * src.m)
+        return _numpy_report(src)
+
+    monkeypatch.setattr(energy_mod, "_numpy_report", spy)
+    energy_report(gen_cylinder_extremal(511, 513))
+    energy_report(gen_cylinder_extremal(512, 512))
+    assert seen == [NUMPY_MIN_PAIRS]
+
+
+def test_without_numpy_large_inputs_fall_back(monkeypatch):
+    cfg = gen_random(n=512, m=512, k=2, seed=5, coord_range=4096)
+    rep = energy_report(cfg)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert _numpy_report(cfg) is None
+    assert energy_report(cfg) == rep == _stdlib_report(cfg)
+
+
+ISOLATION_SCRIPT = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    from ddlab.cli import main
+
+    runs = [
+        ["gen", "--n", "12", "--m", "12", "--seed", "3", "--output", "cfg.csv"],
+        ["gen", "--generator", "orthogonal", "--n", "30", "--m", "30", "--output", "mat.csv"],
+        ["stats", "--input", "cfg.csv", "--json"],
+        ["stats", "--input", "mat.csv"],
+        ["verify", "--input", "cfg.csv"],
+        ["verify", "--input", "mat.csv"],
+        ["reduce", "--input", "cfg.csv", "--output", "gamma.csv"],
+        ["sweep", "--n-list", "8,16", "--m-list", "8", "--output", "sweep.csv"],
+    ]
+    codes = []
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(main(argv))
+    print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+    """
+)
+
+
+def test_small_commands_never_import_numpy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", ISOLATION_SCRIPT],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0] * 8, "numpy": False}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,7 @@ from ddlab import (
     rho_sq,
     validate_constraints,
 )
+from ddlab.energy import _numpy_report
 from ddlab.io import write_gamma_csv
 from conftest import fractional_config
 
@@ -123,11 +125,7 @@ def test_fractional_matrix_entries():
     assert set(distance_classes(mat).classes) == {half, Fraction(3, 4), third, Fraction(5, 6), 1}
 
 
-def test_kernels_do_no_fraction_arithmetic(monkeypatch):
-    cfg = fractional_config(4, n=5, m=5, k=3)
-    mat = SqDistMatrix.from_config(cfg)
-    grid = ParamGrid(params=(Fraction(1, 7), Fraction(2, 5), Fraction(3)))
-
+def _refuse_fraction_arithmetic(monkeypatch) -> None:
     def refuse(*args):
         raise AssertionError("Fraction arithmetic inside an int kernel")
 
@@ -136,9 +134,25 @@ def test_kernels_do_no_fraction_arithmetic(monkeypatch):
         monkeypatch.setattr(Fraction, f"__r{op}__", refuse)
     for op in ("eq", "lt", "le", "gt", "ge", "hash"):
         monkeypatch.setattr(Fraction, f"__{op}__", refuse)
+
+
+def test_kernels_do_no_fraction_arithmetic(monkeypatch):
+    cfg = fractional_config(4, n=5, m=5, k=3)
+    mat = SqDistMatrix.from_config(cfg)
+    grid = ParamGrid(params=(Fraction(1, 7), Fraction(2, 5), Fraction(3)))
+    _refuse_fraction_arithmetic(monkeypatch)
     energy_report(cfg)
     energy_report(mat)
     family = build_family(cfg)
     for g in (ParamGrid.from_config(cfg), grid):
         incidences(g, family, mode="hash")
         incidences(g, family, mode="naive")
+
+
+def test_numpy_kernel_does_no_fraction_arithmetic(monkeypatch):
+    pytest.importorskip("numpy")
+    cfg = fractional_config(4, n=5, m=5, k=3)
+    mat = SqDistMatrix.from_config(cfg)
+    _refuse_fraction_arithmetic(monkeypatch)
+    assert _numpy_report(cfg) is not None
+    assert _numpy_report(mat) is not None
