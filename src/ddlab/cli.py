@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -340,6 +341,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The numpy energy kernel never uses BLAS, so a command should not pay
+    # for an OpenBLAS thread pool when it first imports numpy. A caller's
+    # own setting wins; library users who never call main keep theirs.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

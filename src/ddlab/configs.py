@@ -25,7 +25,7 @@ from .errors import (
     GenerationExhaustedError,
     InvalidCountError,
 )
-from .exact import Config, Point, Rational, _frac, rho_sq, sq_dist
+from .exact import Config, Point, Rational, _frac, int_view, rho_sq
 
 
 class Side(enum.Enum):
@@ -143,17 +143,28 @@ class SqDistMatrix:
         for row in self.entries:
             if len(row) != self.m:
                 raise ValueError("column count does not match m")
-            vals = tuple(v if type(v) is Fraction else Fraction(v) for v in row)
-            for v in vals:
+            vals = []
+            for v in row:  # one walk: coerce to Fraction, then check the sign
+                if type(v) is not Fraction:
+                    v = Fraction(v)
                 if v.numerator < 0:  # denominators are positive
                     raise ValueError("squared distances cannot be negative")
-            rows.append(vals)
+                vals.append(v)
+            rows.append(tuple(vals))
         object.__setattr__(self, "entries", tuple(rows))
 
     @classmethod
     def from_config(cls, cfg: Config) -> "SqDistMatrix":
+        """The table of sq_dist(a, p), computed on the config's int_view.
+
+        Each entry is its scaled squared distance over L^2, one Fraction per
+        entry, with no Fraction arithmetic.
+        """
+        view = int_view(cfg)
+        sq = view.scale * view.scale
+        cols = tuple(zip(view.firsts, view.rhos))
         rows = tuple(
-            tuple(sq_dist(a, p) for p in cfg.p2_points) for a in cfg.p1_params
+            tuple(Fraction((a - x) * (a - x) + r, sq) for x, r in cols) for a in view.params
         )
         return cls(n=cfg.n, m=cfg.m, entries=rows, provenance="config")
 

@@ -25,19 +25,25 @@ from .errors import FormatError
 
 Rational = Union[int, Fraction]
 
-_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``n`` or ``n/d`` (d > 0) into a reduced Fraction."""
-    if not _RATIONAL_RE.match(text):
+    """Parse ``n`` or ``n/d`` (d > 0) into a reduced Fraction.
+
+    The whole text must be the literal (no trailing newline), and a part
+    longer than Python's integer digit limit is a FormatError too.
+    """
+    if not _RATIONAL_RE.fullmatch(text):
         raise FormatError(f"bad rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise FormatError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    try:
+        num, _, den = text.partition("/")
+        value = Fraction(int(num), int(den)) if den else Fraction(int(num))
+    except ZeroDivisionError:
+        raise FormatError(f"zero denominator: {text!r}") from None
+    except ValueError as exc:  # int() refuses more digits than sys.get_int_max_str_digits()
+        raise FormatError(f"rational literal too long ({len(text)} characters)") from exc
+    return value
 
 
 def format_rational(value: Rational) -> str:

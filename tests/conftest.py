@@ -2,10 +2,24 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 
+import pytest
+
 from ddlab import Config, Point, gen_random
+
+
+@pytest.fixture(autouse=True)
+def _restore_openblas_setting():
+    """ddlab.cli.main defaults OPENBLAS_NUM_THREADS; in-process CLI tests must not leak it."""
+    before = os.environ.get("OPENBLAS_NUM_THREADS")
+    yield
+    if before is None:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = before
 
 
 # A valid c=1 config whose axis coordinates and rho_sq values are both in

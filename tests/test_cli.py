@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +200,13 @@ class TestErrors:
         code, _ = run_cli("stats", "--input", str(path), capsys=capsys)
         assert code == 2
 
+    def test_overlong_literal_is_a_format_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("n=1,m=1\n" + "9" * 5000 + "\n", encoding="utf-8")
+        assert main(["stats", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: rational literal too long (5000 characters)\n"
+
     def test_argparse_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["stats"])  # missing --input
@@ -211,3 +221,50 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["min"] == 1.0
+
+
+OPENBLAS_SCRIPT = textwrap.dedent(
+    """
+    import contextlib, io, json, os, sys
+
+    seen = {}
+
+    class WatchNumpyImport:
+        # Records the setting at the moment numpy is first looked up.
+        def find_spec(self, name, path=None, target=None):
+            if name == "numpy":
+                seen.setdefault("at_numpy_import", os.environ.get("OPENBLAS_NUM_THREADS"))
+            return None
+
+    sys.meta_path.insert(0, WatchNumpyImport())
+    import ddlab
+    from ddlab.cli import main
+    from ddlab.io import save_source
+
+    seen["after_import"] = os.environ.get("OPENBLAS_NUM_THREADS")
+    save_source(ddlab.gen_cylinder_extremal(512, 512), "cyl.csv")  # 2^18 pairs: the numpy kernel
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen["code"] = main(["stats", "--input", "cyl.csv", "--json"])
+    seen["after_main"] = os.environ.get("OPENBLAS_NUM_THREADS")
+    print(json.dumps(seen))
+    """
+)
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_cli_defaults_openblas_to_one_thread(tmp_path, preset):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", OPENBLAS_SCRIPT], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = preset or "1"
+    assert json.loads(proc.stdout) == {
+        "after_import": preset,  # importing ddlab leaves the environment alone
+        "code": 0,
+        "at_numpy_import": want,
+        "after_main": want,
+    }

@@ -26,7 +26,7 @@ from ddlab import (
     translate_along_axis,
     validate_constraints,
 )
-from conftest import clustered_config, small_random_config
+from conftest import clustered_config, fractional_config, small_random_config
 
 
 class TestPrunePlanar:
@@ -157,12 +157,19 @@ class TestOrthogonal:
 
 class TestSqDistMatrix:
     def test_from_config_matches_sq_dist(self):
-        cfg = small_random_config(7)
-        mat = SqDistMatrix.from_config(cfg)
-        assert mat.provenance == "config"
-        for i, a in enumerate(cfg.p1_params):
-            for j, p in enumerate(cfg.p2_points):
-                assert mat.entries[i][j] == sq_dist(a, p)
+        for cfg in (
+            small_random_config(7),
+            small_random_config(11, ks=(3,)),
+            fractional_config(3, n=5, m=6, k=2),
+            fractional_config(4, n=6, m=4, k=3, denom=7),
+            Config.of(3, 1, ["-1/2", "5/3"], [("1/4", "2/5", "-3"), (2, "7/6", "1/9")]),
+        ):
+            mat = SqDistMatrix.from_config(cfg)
+            assert mat.provenance == "config"
+            for i, a in enumerate(cfg.p1_params):
+                for j, p in enumerate(cfg.p2_points):
+                    assert mat.entries[i][j] == sq_dist(a, p)
+                    assert type(mat.entries[i][j]) is Fraction
 
     def test_shape_and_sign_checks(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,23 @@ class TestRationalLiterals:
     def test_rejects(self, bad):
         with pytest.raises(FormatError):
             parse_rational(bad)
+
+    def test_rejects_trailing_newline(self):
+        with pytest.raises(FormatError):
+            parse_rational("3\n")
+        with pytest.raises(FormatError):
+            parse_rational("2/3\n")
+
+    def test_overlong_literal_is_format_error(self):
+        # int() refuses more than sys.get_int_max_str_digits() digits with a
+        # plain ValueError; a literal must fail as a FormatError instead.
+        limit = sys.get_int_max_str_digits()
+        if limit == 0:
+            pytest.skip("the integer digit limit is switched off")
+        for text in ("9" * (limit + 1), "-" + "9" * (limit + 1), "1/" + "7" * (limit + 1)):
+            with pytest.raises(FormatError, match="too long"):
+                parse_rational(text)
+        assert parse_rational("9" * limit) == 10**limit - 1
 
     def test_format_examples(self):
         assert format_rational(Fraction(4, 6)) == "2/3"

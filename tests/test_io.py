@@ -6,9 +6,21 @@ import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ddlab import Config, FormatError, SqDistMatrix, build_family, gen_orthogonal_extremal
+import ddlab.io
+from ddlab import (
+    Config,
+    FormatError,
+    SqDistMatrix,
+    build_family,
+    gen_cylinder_extremal,
+    gen_orthogonal_extremal,
+    parse_rational,
+)
 from ddlab.io import (
+    _parse_literals,
     load_source,
     read_config,
     read_matrix,
@@ -128,3 +140,94 @@ def test_loader_sniffs(tmp_path):
     bad.write_text("x=1\n", encoding="utf-8")
     with pytest.raises(FormatError):
         load_source(bad)
+
+
+def test_loader_parses_each_distinct_literal_once(monkeypatch):
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse_rational(text)
+
+    monkeypatch.setattr(ddlab.io, "parse_rational", counting_parse)
+    mat = gen_orthogonal_extremal(400, 400)
+    buf = io.StringIO()
+    write_matrix(mat, buf)
+    assert read_matrix(io.StringIO(buf.getvalue())).entries == mat.entries
+    assert len(calls) == 799  # the values 2..800, among 160,000 entries
+
+    calls.clear()
+    cfg = gen_cylinder_extremal(50, 50)
+    assert round_trip_config(cfg) == cfg
+    assert sorted(calls, key=int) == [str(v) for v in range(50)]  # "1" is P1 and P2 text
+
+
+def test_bad_literal_raises_every_time():
+    memo = {}
+    assert _parse_literals(["4/6", "2/3", "4/6"], memo) == (Fraction(2, 3),) * 3
+    for _ in range(2):
+        with pytest.raises(FormatError, match="zero denominator: '1/0'"):
+            _parse_literals(["4/6", "1/0"], memo)
+    assert set(memo) == {"4/6", "2/3"}
+    with pytest.raises(FormatError, match="zero denominator"):
+        read_matrix(io.StringIO("n=2,m=2\n4/6,2/3\n4/6,1/0\n"))
+
+
+# Arbitrary text, and text built from the formats' own pieces so that the
+# readers get past the header and into the literals.
+_TOKENS = st.sampled_from(
+    ["P1", "P2", "P3", "0", "-0", "3", "-3", "4/6", "2/3", "1/0", "5/", "+5", "1.5", "x", "", " 7", "9" * 4400]
+)
+_HEADERS = st.sampled_from(
+    ["k=2,c=1", "k=3,c=2", "k=1,c=1", "k=2,c=0", "k=2", "n=2,m=2", "n=1,m=3", "n=0,m=0", "n=-1,m=2", "n=2", "x=1"]
+)
+_FORMAT_LIKE = st.builds(
+    lambda head, lines: "\n".join([head] + [",".join(ln) for ln in lines]),
+    _HEADERS,
+    st.lists(st.lists(_TOKENS, max_size=4), max_size=5),
+)
+_ANY_TEXT = st.one_of(st.text(), st.text(alphabet="0123456789-/,=\n\r kcnmP+."), _FORMAT_LIKE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANY_TEXT)
+def test_readers_raise_only_format_error(text):
+    for reader in (read_config, read_matrix):
+        try:
+            reader(io.StringIO(text))
+        except FormatError:
+            pass
+
+
+# Literal texts for matrix entries: equal values written differently
+# ("4/6" beside "2/3", "-0" beside "0"), plus negative and bad literals.
+_GOOD_LITERALS = ["0", "-0", "2/3", "4/6", "6/9", "7", "14/2", "1/3", "2/6", "-2/6", "5/1"]
+_BAD_LITERALS = ["1/0", "+2", "1.5", "x", "1/-3", "9" * 4400]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_memoized_matrix_read_matches_entrywise_parse(data):
+    n = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(1, 5))
+    pool = data.draw(st.lists(st.sampled_from(_GOOD_LITERALS), min_size=1, max_size=4))
+    rows = [[data.draw(st.sampled_from(pool)) for _ in range(m)] for _ in range(n)]
+    if data.draw(st.booleans()):  # a bad literal after good repeated ones
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1))
+        rows[i][j] = data.draw(st.sampled_from(_BAD_LITERALS))
+    text = f"n={n},m={m}\n" + "".join(",".join(row) + "\n" for row in rows)
+
+    try:
+        expected = tuple(tuple(parse_rational(t) for t in row) for row in rows)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            read_matrix(io.StringIO(text))
+        assert str(got.value) == str(exc)
+        return
+    if any(v < 0 for row in expected for v in row):
+        with pytest.raises(FormatError, match="negative"):
+            read_matrix(io.StringIO(text))
+        return
+    mat = read_matrix(io.StringIO(text))
+    assert mat.entries == expected
+    assert all(type(v) is Fraction for row in mat.entries for v in row)
