@@ -32,7 +32,7 @@ for h in fam.curves:
     print(f"  pair {h.src}: ({h.alpha}, {h.beta}, {h.gamma})")
 print("positive gammas:", fam.positive_count, " negative:", fam.negative_count)
 
-# Count grid points on curves, by hash join and by the quadratic scan.
+# Count grid points on curves, by the grouped join and by the quadratic scan.
 grid = ParamGrid.from_config(cfg)
 rep = incidences(grid, fam, mode="hash")
 print("\nincidences:", rep.total, " per curve:", rep.per_curve)

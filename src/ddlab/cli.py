@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import combinations
 from pathlib import Path
 
 from . import __version__, bounds, io as dio
@@ -167,8 +168,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _verify_checks(src) -> list[tuple[str, str, str]]:
     """Each check is (name, status, detail) with status PASS/FAIL/SKIP."""
     checks: list[tuple[str, str, str]] = []
-    n = src.n
-    m = src.m
+    n, m = src.n, src.m
 
     report = validate_constraints(src) if isinstance(src, Config) else None
     if report is None:
@@ -264,19 +264,13 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
             f"Q1 = {rep.energy_cross} vs incidences = {fast.total}",
         )
     )
-    sample = family.curves[:40]
-    bad = 0
-    pairs = 0
-    for a in range(len(sample)):
-        for b in range(a + 1, len(sample)):
-            pairs += 1
-            if intersection_count(sample[a], sample[b]).count > 2:
-                bad += 1
+    pairs = list(combinations(family.curves[:40], 2))
+    bad = sum(1 for h1, h2 in pairs if intersection_count(h1, h2).count > 2)
     checks.append(
         (
             "intersections",
             "PASS" if bad == 0 else "FAIL",
-            f"{pairs} curve pairs, all meeting at most twice",
+            f"{len(pairs)} curve pairs, all meeting at most twice",
         )
     )
     return checks

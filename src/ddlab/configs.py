@@ -81,11 +81,8 @@ def prune_planar(cfg: Config) -> PrunedConfig:
     if not above and not below:
         raise EmptyResultError("no point lies off the axis")
     chosen = above if len(above) >= len(below) else below
-    candidates = []
-    for idx in chosen:
-        p = cfg.p2_points[idx]
-        candidates.append((p.coords[0], abs(p.coords[1]), idx))
-    candidates.sort()
+    pts = cfg.p2_points
+    candidates = sorted((pts[idx].coords[0], abs(pts[idx].coords[1]), idx) for idx in chosen)
     kept: list[int] = []
     seen_x: set[Fraction] = set()
     seen_y: set[Fraction] = set()

@@ -147,12 +147,7 @@ def energy(classes: DistanceClasses) -> EnergyReport:
         if e < 2:
             continue
         q += e * (e - 1)
-        per_col: dict = {}
-        for _, j in pairs:
-            per_col[j] = per_col.get(j, 0) + 1
-        for cnt in per_col.values():
-            if cnt >= 2:
-                q0 += cnt * (cnt - 1)
+        q0 += sum(cnt * (cnt - 1) for cnt in Counter(j for _, j in pairs).values())
     q1 = q - q0
     return EnergyReport(
         n=classes.n,

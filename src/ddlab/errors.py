@@ -11,6 +11,11 @@ class FormatError(DdlabError):
     """Malformed rational literal or input file."""
 
 
+def excerpt(text: str) -> str:
+    """repr(text) for an error message; past 40 characters, a prefix and the length."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 class EmptyResultError(DdlabError):
     """Pruning has nothing to work with (no usable points)."""
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence, Union
 
-from .errors import FormatError
+from .errors import FormatError, excerpt
 
 Rational = Union[int, Fraction]
 
@@ -35,12 +35,12 @@ def parse_rational(text: str) -> Fraction:
     longer than Python's integer digit limit is a FormatError too.
     """
     if not _RATIONAL_RE.fullmatch(text):
-        raise FormatError(f"bad rational literal: {text!r}")
+        raise FormatError(f"bad rational literal: {excerpt(text)}")
     try:
         num, _, den = text.partition("/")
         value = Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ZeroDivisionError:
-        raise FormatError(f"zero denominator: {text!r}") from None
+        raise FormatError(f"zero denominator: {excerpt(text)}") from None
     except ValueError as exc:  # int() refuses more digits than sys.get_int_max_str_digits()
         raise FormatError(f"rational literal too long ({len(text)} characters)") from exc
     return value
@@ -90,10 +90,7 @@ class Point:
 
 def rho_sq(p: Point) -> Fraction:
     """Squared distance from p to the reference axis: sum of squares of coords 2..k."""
-    total = Fraction(0)
-    for v in p.coords[1:]:
-        total += v * v
-    return total
+    return sum((v * v for v in p.coords[1:]), Fraction(0))
 
 
 def sq_dist(a_param: Rational | str, p: Point) -> Fraction:
@@ -227,11 +224,10 @@ def validate_constraints(cfg: Config, c: int | None = None) -> ValidationReport:
     for idx, p in enumerate(cfg.p2_points):
         by_axis.setdefault(p.coords[0], []).append(idx)
         by_rho.setdefault(rho_sq(p), []).append(idx)
-    violations: list[Violation] = []
-    for value, idxs in by_axis.items():
-        if len(idxs) > bound:
-            violations.append(Violation("p1", value, tuple(idxs)))
-    for value, idxs in by_rho.items():
-        if len(idxs) > bound:
-            violations.append(Violation("rho_sq", value, tuple(idxs)))
-    return ValidationReport(c=bound, violations=tuple(violations))
+    violations = tuple(
+        Violation(condition, value, tuple(idxs))
+        for condition, groups in (("p1", by_axis), ("rho_sq", by_rho))
+        for value, idxs in groups.items()
+        if len(idxs) > bound
+    )
+    return ValidationReport(c=bound, violations=violations)

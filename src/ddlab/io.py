@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import io as _io
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import TextIO, Union
 
 from .configs import SqDistMatrix
-from .errors import FormatError
+from .errors import FormatError, excerpt
 from .exact import Config, Point, format_rational, parse_rational
 from .reduction import HyperbolaFamily, _ordered_pairs
 
@@ -26,18 +27,14 @@ Source = Union[Config, SqDistMatrix]
 
 
 def _parse_header_pair(line: str, key_a: str, key_b: str) -> tuple[int, int]:
-    parts = line.strip().split(",")
-    if len(parts) != 2:
-        raise FormatError(f"bad header line: {line!r}")
-    values = {}
-    for part, key in zip(parts, (key_a, key_b)):
-        if not part.startswith(key + "="):
-            raise FormatError(f"expected {key}=<int> in header, got {part!r}")
-        try:
-            values[key] = int(part[len(key) + 1 :])
-        except ValueError as exc:
-            raise FormatError(f"bad integer in header: {part!r}") from exc
-    return values[key_a], values[key_b]
+    head = line.strip()
+    match = re.fullmatch(f"{key_a}=([0-9]+),{key_b}=([0-9]+)", head)
+    if match is None:
+        raise FormatError(f"expected {key_a}=<int>,{key_b}=<int> header, got {excerpt(head)}")
+    try:
+        return int(match[1]), int(match[2])
+    except ValueError as exc:  # int() refuses more digits than sys.get_int_max_str_digits()
+        raise FormatError(f"header integer too long ({len(head)} characters)") from exc
 
 
 def _parse_literals(texts: list[str], memo: dict[str, Fraction]) -> tuple[Fraction, ...]:
@@ -77,14 +74,15 @@ def read_config(stream: TextIO) -> Config:
         parts = ln.split(",")
         if parts[0] == "P1":
             if len(parts) != 2:
-                raise FormatError(f"P1 line needs one rational: {ln!r}")
+                raise FormatError(f"P1 line needs one rational: {excerpt(ln)}")
             p1.extend(_parse_literals(parts[1:], memo))
         elif parts[0] == "P2":
             if len(parts) != k + 1:
-                raise FormatError(f"P2 line needs {k} rationals: {ln!r}")
+                got = len(parts) - 1
+                raise FormatError(f"P2 line needs {k} rationals, got {got}: {excerpt(ln)}")
             p2.append(_parse_literals(parts[1:], memo))
         else:
-            raise FormatError(f"unknown line tag: {parts[0]!r}")
+            raise FormatError(f"unknown line tag: {excerpt(parts[0])}")
     try:
         return Config.of(k=k, c=c, p1_params=p1, p2_points=p2)
     except ValueError as exc:
@@ -109,7 +107,7 @@ def read_matrix(stream: TextIO) -> SqDistMatrix:
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != m:
-            raise FormatError(f"expected {m} entries per row: {ln!r}")
+            raise FormatError(f"expected {m} entries per row, got {len(parts)}: {excerpt(ln)}")
         rows.append(_parse_literals(parts, memo))
     try:
         return SqDistMatrix(n=n, m=m, entries=tuple(rows), provenance="file")
@@ -146,7 +144,7 @@ def load_source(path: str | Path) -> Source:
         return read_config(_io.StringIO(text))
     if head.startswith("n="):
         return read_matrix(_io.StringIO(text))
-    raise FormatError(f"unrecognized header: {head!r}")
+    raise FormatError(f"unrecognized header: {excerpt(head)}")
 
 
 def save_source(src: Source, path: str | Path) -> None:

@@ -3,7 +3,7 @@
 These recompute the quadruple counts and the incidence count straight from
 their definitions, sharing no counting logic with the fast paths they
 check. They work on the original rationals, never on the scaled int view
-or a hash table, so they check the scaling and the hash join
+or a hash table, so they check the scaling and the incidence join
 independently. Each rational is compared as its reduced (numerator,
 denominator) pair, which equals another pair exactly when the values are
 equal; every ordered pair of pairs and every (curve, grid point) is still

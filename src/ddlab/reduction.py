@@ -14,8 +14,10 @@ degenerate the curve into a pair of lines and is rejected.
 
 Curve building and incidence counting run on the config scaled into ints
 (exact.int_view), which scales (alpha, beta, gamma) by (L, L, L^2) and each
-curve equation by L^2, keeping every incidence. Hyperbola values, with their
-rational coefficients, are built only for callers that ask for them.
+curve equation by L^2, keeping every incidence. Counting reads the reduction
+backwards: it groups the n m scaled values sq_dist(s, p) and pairs equal
+values of distinct points, in O(n m + I) for I incidences. Hyperbola values,
+with their rational coefficients, are built only for callers that ask.
 
 Subtracting two curve equations cancels the quadratic part, leaving a line,
 so two distinct curves of the family meet in at most two points: the family
@@ -29,10 +31,10 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import permutations
 from typing import Iterator
 
 from .energy import distance_classes, energy
@@ -183,9 +185,12 @@ def incidences(grid: ParamGrid, family: HyperbolaFamily, mode: str = "hash") -> 
 
     Grid and family are first scaled to one L, the lcm of the family's scale
     and the grid's denominators. mode "naive" evaluates every curve at every
-    grid point. mode "hash" keys the grid rows by (t + beta)^2 once per beta
-    column and probes (s + alpha)^2 + gamma, which counts the same
-    incidences in O(n m^2) probes. Both modes agree exactly.
+    grid point. mode "hash" uses that (s, t) is on curve (i, j) exactly when
+    (s + shift_i)^2 + rho_i = (t + shift_j)^2 + rho_j: it keys each (point
+    i, grid value s) once by (s + shift_i)^2 + rho_i, and a value taken c_i
+    times by point i and c_j times by point j != i puts c_i c_j grid points
+    on curve (i, j). That is O(n m + I) work for I incidences. Both modes
+    agree exactly.
     """
     if mode not in ("naive", "hash"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -194,7 +199,8 @@ def incidences(grid: ParamGrid, family: HyperbolaFamily, mode: str = "hash") -> 
     params = scaled_ints(grid.params, scale)
     shifts = [-x * factor for x in family.firsts]  # alpha of curves (i, .), beta of (., i)
     rhos = [r * factor * factor for r in family.rhos]
-    pairs = list(_ordered_pairs(family.m))
+    m = family.m
+    pairs = list(_ordered_pairs(m))
     if mode == "naive":
         per_curve = [
             sum(
@@ -206,12 +212,19 @@ def incidences(grid: ParamGrid, family: HyperbolaFamily, mode: str = "hash") -> 
             for i, j in pairs
         ]
     else:
-        squares = [[(s + shift) ** 2 for s in params] for shift in shifts]
-        tables = [Counter(col) for col in squares]
-        per_curve = []
-        for i, j in pairs:
-            gamma, table = rhos[i] - rhos[j], tables[j]
-            per_curve.append(sum(table.get(u + gamma, 0) for u in squares[i]))
+        first: dict[int, int] = {}  # value -> the first point taking it
+        shared: dict[int, list[int]] = {}  # recurring value -> its point per grid value
+        for i, (shift, rho) in enumerate(zip(shifts, rhos)):
+            for v in [(s + shift) * (s + shift) + rho for s in params]:
+                if v not in first:
+                    first[v] = i
+                else:
+                    shared.setdefault(v, [first[v]]).append(i)
+        per_curve = [0] * len(pairs)
+        for points in shared.values():  # entries of points i != j: one grid point on (i, j)
+            for i, j in permutations(points, 2):
+                if i != j:
+                    per_curve[i * (m - 1) + j - (j > i)] += 1
     return IncidenceReport(
         total=sum(per_curve),
         positive_total=sum(c for c, (i, j) in zip(per_curve, pairs) if rhos[i] > rhos[j]),

@@ -207,6 +207,22 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == "error: rational literal too long (5000 characters)\n"
 
+    def test_bad_wide_row_gives_a_short_message(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        row = ",".join(str(v) for v in range(400))
+        path.write_text(f"n=2,m=400\n{row}\n{row},400\n", encoding="utf-8")
+        assert main(["stats", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: expected 400 entries per row, got 401: '0,1,2,")
+        assert err.endswith(f"... ({len(row) + 4} characters)\n")
+        assert len(err) < 120
+
+    def test_loose_header_is_a_format_error(self, tmp_path, capsys):
+        path = tmp_path / "loose.csv"
+        path.write_text("k=\u0662,c=+1\nP1,0\nP2,1,2\n", encoding="utf-8")
+        assert main(["stats", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: expected k=<int>,c=<int> header")
+
     def test_argparse_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["stats"])  # missing --input

@@ -231,3 +231,64 @@ def test_memoized_matrix_read_matches_entrywise_parse(data):
     mat = read_matrix(io.StringIO(text))
     assert mat.entries == expected
     assert all(type(v) is Fraction for row in mat.entries for v in row)
+
+
+# int() reads each header value below as a number that fits the body, so
+# only the header grammar (ASCII digits and nothing else) rejects the file.
+_LOOSE_HEADERS = [
+    ("n= 1_0,m=١", "1\n" * 10),
+    ("n=+2,m=1", "1\n2\n"),
+    ("n=2,m=1_0", ("1," * 9 + "1\n") * 2),
+    ("n=2, m=1", "1\n2\n"),
+    ("k=٢,c=+1", "P1,0\nP2,1,2\n"),
+    ("k=2,c=１", "P1,0\nP2,1,2\n"),
+    ("k=2 ,c=1", "P1,0\nP2,1,2\n"),
+]
+
+
+@pytest.mark.parametrize("head,body", _LOOSE_HEADERS, ids=[head for head, _ in _LOOSE_HEADERS])
+def test_header_takes_only_ascii_digits(head, body, tmp_path):
+    reader = read_matrix if head.startswith("n=") else read_config
+    with pytest.raises(FormatError, match="header"):
+        reader(io.StringIO(f"{head}\n{body}"))
+    path = tmp_path / "loose.csv"
+    path.write_text(f"{head}\n{body}", encoding="utf-8")
+    with pytest.raises(FormatError):
+        load_source(path)
+
+
+def test_header_accepts_plain_digits():
+    assert read_matrix(io.StringIO("n=02,m=1\n1\n2\n")).n == 2
+    assert read_config(io.StringIO(" k=3,c=2 \nP1,0\nP2,1,2,3\n")).c == 2
+
+
+_WIDE_ROW = ",".join(str(v) for v in range(400))
+
+
+_LONG_TEXTS = {
+    "wide-matrix-row": (read_matrix, f"n=1,m=3\n{_WIDE_ROW}\n"),
+    "wide-p2-line": (read_config, f"k=2,c=1\nP1,0\nP2,{_WIDE_ROW}\n"),
+    "wide-p1-line": (read_config, f"k=2,c=1\nP1,{_WIDE_ROW}\n"),
+    "long-tag": (read_config, f"k=2,c=1\n{'Q' * 2000},1\n"),
+    "zero-denominator": (read_matrix, f"n=1,m=1\n{'1' * 2000}/0\n"),
+    "bad-literal": (read_matrix, f"n=1,m=1\n{'1' * 2000}/x\n"),
+    "bad-header": (read_matrix, f"n={'1' * 2000},m=x\n1\n"),
+    "header-past-digit-limit": (read_matrix, f"n={'1' * 5000},m=1\n1\n"),
+}
+
+
+@pytest.mark.parametrize("reader,text", _LONG_TEXTS.values(), ids=_LONG_TEXTS.keys())
+def test_format_errors_quote_a_short_prefix(reader, text):
+    with pytest.raises(FormatError) as exc:
+        reader(io.StringIO(text))
+    assert len(str(exc.value)) < 120
+    assert "characters)" in str(exc.value)
+
+
+def test_short_texts_are_quoted_whole():
+    with pytest.raises(FormatError, match=r"expected 3 entries per row, got 2: '1,2'"):
+        read_matrix(io.StringIO("n=1,m=3\n1,2\n"))
+    with pytest.raises(FormatError, match=r"P2 line needs 2 rationals, got 1: 'P2,1'"):
+        read_config(io.StringIO("k=2,c=1\nP1,0\nP2,1\n"))
+    with pytest.raises(FormatError, match=r"bad rational literal: '1\.5'"):
+        parse_rational("1.5")

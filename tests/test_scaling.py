@@ -12,10 +12,12 @@ import io
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 from ddlab import (
+    DuplicateCurveError,
+    IncidenceReport,
     Config,
     ParamGrid,
     SqDistMatrix,
@@ -24,6 +26,7 @@ from ddlab import (
     energy,
     energy_report,
     format_rational,
+    gen_random,
     incidences,
     oracle_incidences,
     oracle_quadruples,
@@ -104,6 +107,111 @@ def test_int_kernels_match_rational_references(cfg, foreign_params):
         assert list(fast.per_curve) == _per_curve_oracle(grid, family)
         assert fast.total == oracle_incidences(grid, family)
     assert incidences(ParamGrid.from_config(cfg), family).total == rep.energy_cross
+
+
+# A narrow coordinate range makes grid values collide, so the incidence count
+# I is large next to n m and rows often take a value twice (mirror points).
+_NARROW = st.integers(-5, 5)
+
+
+@st.composite
+def dense_families(draw):
+    """A config on a narrow range, maybe scaled and shifted off the ints, with its family.
+
+    Points are unique by rho_sq, so every pair gives a curve; axis
+    coordinates may repeat, which build_family allows.
+    """
+    k = draw(st.integers(2, 4))
+    params = draw(st.lists(_NARROW, min_size=1, max_size=8, unique=True))
+    points = draw(
+        st.lists(
+            st.tuples(*[_NARROW] * k),
+            min_size=2,
+            max_size=6,
+            unique_by=lambda p: sum(v * v for v in p[1:]),
+        )
+    )
+    scale = Fraction(1, draw(st.sampled_from((1, 2, 3, 6))))
+    shift = draw(st.sampled_from((0, Fraction(1, 5), Fraction(-3, 7))))
+    cfg = Config.of(
+        k=k,
+        c=1,
+        p1_params=[a * scale + shift for a in params],
+        p2_points=[(p[0] * scale + shift,) + tuple(v * scale for v in p[1:]) for p in points],
+    )
+    try:
+        return cfg, build_family(cfg)
+    except DuplicateCurveError:
+        assume(False)
+
+
+def _mirror(per_curve, m: int) -> list[int]:
+    """per_curve reindexed so that entry (i, j) holds the count of curve (j, i)."""
+    at = {pair: c for pair, c in zip(((i, j) for i in range(m) for j in range(m) if i != j), per_curve)}
+    return [at[(j, i)] for i in range(m) for j in range(m) if i != j]
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_families(), st.lists(rationals(), max_size=6))
+def test_join_per_curve_matches_naive_and_oracle(cfg_family, foreign_params):
+    cfg, family = cfg_family
+    own = incidences(ParamGrid.from_config(cfg), family)
+    target(float(own.total), label="incidences on the config's grid")
+    assert own.total == energy_report(cfg).energy_cross
+    # (s, t) on curve (i, j) iff (t, s) on curve (j, i), and the swap flips gamma's sign
+    assert list(own.per_curve) == _mirror(own.per_curve, cfg.m)
+    assert own.positive_total == own.negative_total
+    # a grid of other denominators, possibly with repeated values
+    for grid in (ParamGrid.from_config(cfg), ParamGrid(params=tuple(foreign_params))):
+        fast = incidences(grid, family, mode="hash")
+        assert fast == incidences(grid, family, mode="naive")
+        assert list(fast.per_curve) == _per_curve_oracle(grid, family)
+        assert fast.positive_total + fast.negative_total == fast.total == sum(fast.per_curve)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["mirror-row-first", "mirror-row-second"])
+def test_join_counts_a_value_taken_twice_by_one_row(order):
+    # params -1 and 1 mirror about x = 0, so the point (0, 1, 0) takes the
+    # value 2 at both; (2, 1, 1) takes it once, at t = 2: c_i = 2, c_j = 1
+    points = [(0, 1, 0), (2, 1, 1)]
+    cfg = Config.of(k=3, c=1, p1_params=[-1, 1, 2], p2_points=[points[i] for i in order])
+    family = build_family(cfg)
+    grid = ParamGrid.from_config(cfg)
+    rep = incidences(grid, family)
+    assert rep.per_curve == (2, 2)
+    assert rep == incidences(grid, family, mode="naive")
+    assert list(rep.per_curve) == _per_curve_oracle(grid, family)
+    assert rep.total == energy_report(cfg).energy_cross == 4
+
+
+def test_join_on_a_grid_the_family_scale_misses():
+    # curve (0, 1) is (t - 1)^2 - s^2 = 3, which passes through (11/5, 19/5)
+    cfg = Config.of(k=2, c=1, p1_params=[0], p2_points=[(0, 2), (1, 1)])
+    family = build_family(cfg)
+    assert family.scale == 1
+    fifths = ParamGrid(params=tuple(Fraction(a, 5) for a in range(-20, 21)))
+    integers = ParamGrid(params=tuple(Fraction(a) for a in range(-4, 5)))
+    rep = incidences(fifths, family)
+    assert list(rep.per_curve) == _per_curve_oracle(fifths, family)
+    assert rep == incidences(fifths, family, mode="naive")
+    assert rep.total > incidences(integers, family).total > 0
+
+
+def test_join_with_no_incidences():
+    cfg = Config.of(k=2, c=1, p1_params=[0], p2_points=[(0, 1), (5, 3)])
+    family = build_family(cfg)
+    zero = IncidenceReport(total=0, positive_total=0, negative_total=0, per_curve=(0, 0))
+    for grid in (ParamGrid.from_config(cfg), ParamGrid(params=(Fraction(1, 3),)), ParamGrid(params=())):
+        assert incidences(grid, family) == zero == incidences(grid, family, mode="naive")
+    assert energy_report(cfg).energy_cross == 0
+
+
+def test_join_at_400_matches_energy():
+    cfg = gen_random(n=400, m=400, k=2, seed=7, coord_range=1600)
+    rep = incidences(ParamGrid.from_config(cfg), build_family(cfg))
+    assert rep.total == energy_report(cfg).energy_cross > 0
+    assert rep.positive_total + rep.negative_total == rep.total
+    assert len(rep.per_curve) == 400 * 399
 
 
 def test_fractional_matrix_entries():
