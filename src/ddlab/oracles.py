@@ -1,9 +1,9 @@
 """Brute-force oracles, kept deliberately dumb.
 
-These recompute the quadruple counts and the incidence count straight from
-their definitions, sharing no counting logic with the fast paths they
-check. They work on the original rationals, never on the scaled int view
-or a hash table, so they check the scaling and the incidence join
+These recompute the quadruple counts and the per-curve incidence counts
+straight from their definitions, sharing no counting logic with the fast
+paths they check. They work on the original rationals, never on the scaled
+int view or a hash table, so they check the scaling and the incidence join
 independently. Each rational is compared as its reduced (numerator,
 denominator) pair, which equals another pair exactly when the values are
 equal; every ordered pair of pairs and every (curve, grid point) is still
@@ -48,12 +48,12 @@ def oracle_quadruples(src: Source) -> tuple[int, int, int]:
     return q, q0, q - q0
 
 
-def oracle_incidences(grid: ParamGrid, family: HyperbolaFamily) -> int:
-    """Total incidences by evaluating every curve equation at every grid point."""
+def oracle_incidences(grid: ParamGrid, family: HyperbolaFamily) -> tuple[int, ...]:
+    """Incidences per curve, in family.curves order, by evaluating each curve at each grid point."""
     work = grid.n ** 2 * len(family)
     if work > INCIDENCE_GUARD:
         raise TooLargeError(f"n^2 * curves = {work} exceeds the oracle guard {INCIDENCE_GUARD}")
-    total = 0
+    per_curve = []
     rhs_by_beta: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for h in family.curves:
         # (s, t) is on h iff (s + alpha)^2 + gamma == (t + beta)^2
@@ -62,9 +62,8 @@ def oracle_incidences(grid: ParamGrid, family: HyperbolaFamily) -> int:
         if beta not in rhs_by_beta:
             rhs_by_beta[beta] = [_key((t + h.beta) ** 2) for t in grid.params]
         rhs = rhs_by_beta[beta]
-        for left in lhs:
-            total += rhs.count(left)
-    return total
+        per_curve.append(sum(rhs.count(left) for left in lhs))
+    return tuple(per_curve)
 
 
 def _key(value: Fraction) -> tuple[int, int]:

@@ -37,7 +37,7 @@ from functools import cached_property
 from itertools import permutations
 from typing import Iterator
 
-from .energy import distance_classes, energy
+from .energy import distance_classes, energy_report
 from .errors import (
     BijectionViolationError,
     DegenerateHyperbolaError,
@@ -180,55 +180,48 @@ class IncidenceReport:
         }
 
 
-def incidences(grid: ParamGrid, family: HyperbolaFamily, mode: str = "hash") -> IncidenceReport:
+def incidences(grid: ParamGrid, family: HyperbolaFamily) -> IncidenceReport:
     """Count grid points on each curve, exactly, on plain ints.
 
     Grid and family are first scaled to one L, the lcm of the family's scale
-    and the grid's denominators. mode "naive" evaluates every curve at every
-    grid point. mode "hash" uses that (s, t) is on curve (i, j) exactly when
-    (s + shift_i)^2 + rho_i = (t + shift_j)^2 + rho_j: it keys each (point
-    i, grid value s) once by (s + shift_i)^2 + rho_i, and a value taken c_i
-    times by point i and c_j times by point j != i puts c_i c_j grid points
-    on curve (i, j). That is O(n m + I) work for I incidences. Both modes
-    agree exactly.
+    and the grid's denominators. (s, t) is on curve (i, j) exactly when
+    (s + shift_i)^2 + rho_i = (t + shift_j)^2 + rho_j, so the join keys each
+    (point i, grid value s) once by (s + shift_i)^2 + rho_i, and a value
+    taken c_i times by point i and c_j times by point j != i puts c_i c_j
+    grid points on curve (i, j). That is O(n m + I) work for I incidences.
     """
-    if mode not in ("naive", "hash"):
-        raise ValueError(f"unknown mode {mode!r}")
     scale = math.lcm(family.scale, common_denominator(grid.params))
     factor = scale // family.scale
     params = scaled_ints(grid.params, scale)
     shifts = [-x * factor for x in family.firsts]  # alpha of curves (i, .), beta of (., i)
     rhos = [r * factor * factor for r in family.rhos]
     m = family.m
-    pairs = list(_ordered_pairs(m))
-    if mode == "naive":
-        per_curve = [
-            sum(
-                1
-                for s in params
-                for t in params
-                if (s + shifts[i]) ** 2 - (t + shifts[j]) ** 2 + rhos[i] - rhos[j] == 0
-            )
-            for i, j in pairs
-        ]
-    else:
-        first: dict[int, int] = {}  # value -> the first point taking it
-        shared: dict[int, list[int]] = {}  # recurring value -> its point per grid value
-        for i, (shift, rho) in enumerate(zip(shifts, rhos)):
-            for v in [(s + shift) * (s + shift) + rho for s in params]:
-                if v not in first:
-                    first[v] = i
-                else:
-                    shared.setdefault(v, [first[v]]).append(i)
-        per_curve = [0] * len(pairs)
-        for points in shared.values():  # entries of points i != j: one grid point on (i, j)
-            for i, j in permutations(points, 2):
-                if i != j:
-                    per_curve[i * (m - 1) + j - (j > i)] += 1
+    first: dict[int, int] = {}  # value -> the first point taking it
+    shared: dict[int, list[int]] = {}  # recurring value -> its point per grid value
+    for i, (shift, rho) in enumerate(zip(shifts, rhos)):
+        for v in [(s + shift) * (s + shift) + rho for s in params]:
+            if v not in first:
+                first[v] = i
+            else:
+                shared.setdefault(v, [first[v]]).append(i)
+    per_curve = [0] * len(family)
+    for points in shared.values():  # entries of points i != j: one grid point on (i, j)
+        for i, j in permutations(points, 2):
+            if i != j:
+                per_curve[i * (m - 1) + j - (j > i)] += 1
+    positive = negative = 0
+    for k, c in enumerate(per_curve):
+        if c:
+            i, r = divmod(k, m - 1)  # the inverse of the index map above
+            gamma = rhos[i] - rhos[r + (r >= i)]
+            if gamma > 0:
+                positive += c
+            elif gamma < 0:
+                negative += c
     return IncidenceReport(
         total=sum(per_curve),
-        positive_total=sum(c for c, (i, j) in zip(per_curve, pairs) if rhos[i] > rhos[j]),
-        negative_total=sum(c for c, (i, j) in zip(per_curve, pairs) if rhos[i] < rhos[j]),
+        positive_total=positive,
+        negative_total=negative,
         per_curve=tuple(per_curve),
     )
 
@@ -252,21 +245,22 @@ class BijectionReport:
 def verify_bijection(cfg: Config, audit: bool = False) -> BijectionReport:
     """Check that cross-column energy equals the grid-curve incidence count.
 
-    The two sides are computed by unrelated code paths (distance hashing vs
-    curve-equation evaluation); disagreement means an implementation bug and
+    The two sides come from separate code paths: energy_report groups the
+    squared-distance table, incidences joins the grid values lifted by the
+    family's int columns. Disagreement means an implementation bug and
     raises, with a counterexample when the sizes allow one to be found.
-    With audit=True the explicit quadruple-to-incidence pairing is returned.
+    With audit=True the explicit quadruple-to-incidence pairing is returned;
+    only then, or on disagreement, are the distance classes materialized.
     """
-    classes = distance_classes(cfg)
-    rep = energy(classes)
+    q1 = energy_report(cfg).energy_cross
     family = build_family(cfg)
     grid = ParamGrid.from_config(cfg)
-    inc = incidences(grid, family, mode="hash")
+    inc = incidences(grid, family)
     entries: tuple[AuditEntry, ...] | None = None
-    if audit or rep.energy_cross != inc.total:
+    if audit or q1 != inc.total:
         collected: list[AuditEntry] = []
         curve_at = {h.src: h for h in family.curves}
-        for pairs in classes.classes.values():
+        for pairs in distance_classes(cfg).classes.values():
             if len(pairs) < 2:
                 continue
             for i, j in pairs:
@@ -283,16 +277,14 @@ def verify_bijection(cfg: Config, audit: bool = False) -> BijectionReport:
                     collected.append(
                         AuditEntry(quadruple=(i, j, k, l), point=point, curve_src=(j, l))
                     )
-        if rep.energy_cross != inc.total:
+        if q1 != inc.total:
             raise BijectionViolationError(
-                f"cross-column energy {rep.energy_cross} != incidence total "
+                f"cross-column energy {q1} != incidence total "
                 f"{inc.total} (audited {len(collected)} quadruples)"
             )
         if audit:
             entries = tuple(collected)
-    return BijectionReport(
-        energy_cross=rep.energy_cross, incidence_total=inc.total, audit=entries
-    )
+    return BijectionReport(energy_cross=q1, incidence_total=inc.total, audit=entries)
 
 
 class Branch(enum.Enum):

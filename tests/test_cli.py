@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import ddlab.cli
 from ddlab import energy_report, gen_random
 from ddlab.cli import main
 from ddlab.io import load_source, save_source
@@ -151,6 +152,28 @@ class TestVerify:
         code, out = run_cli("verify", "--input", str(path), capsys=capsys)
         assert code == 0
         assert "SKIP bijection" in out
+
+    @pytest.mark.parametrize(
+        "per_curve, modes, oracle",
+        [((1, 3), "FAIL", "PASS"), ((2, 3), "FAIL", "FAIL")],
+        ids=["moved-incidence", "changed-total"],
+    )
+    def test_oracle_disagreement_fails(self, per_curve, modes, oracle, tmp_path, capsys, monkeypatch):
+        # the worked example: two curves with two incidences each
+        path = tmp_path / "cfg.csv"
+        path.write_text("k=2,c=1\nP1,0\nP1,2\nP2,0,1\nP2,1,2\n", encoding="utf-8")
+        real = ddlab.cli.oracle_incidences
+
+        def injected(grid, family):
+            assert real(grid, family) == (2, 2)
+            return per_curve
+
+        monkeypatch.setattr(ddlab.cli, "oracle_incidences", injected)
+        code, out = run_cli("verify", "--input", str(path), capsys=capsys)
+        assert code == 1
+        assert f"{modes} incidence-modes: hash 4 vs naive {sum(per_curve)}\n" in out
+        assert f"{oracle} incidence-oracle: oracle {sum(per_curve)} vs fast 4\n" in out
+        assert "PASS bijection: Q1 = 4 vs incidences = 4\n" in out
 
 
 class TestBound:

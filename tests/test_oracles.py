@@ -19,7 +19,7 @@ from ddlab import (
     oracle_incidences,
     oracle_quadruples,
 )
-from ddlab.oracles import QUADRUPLE_GUARD
+from ddlab.oracles import INCIDENCE_GUARD, QUADRUPLE_GUARD
 
 
 def test_quadruple_oracle_on_tiny_config():
@@ -54,9 +54,10 @@ def test_incidence_oracle_guard():
     cfg = gen_random(n=2, m=33, k=2, seed=0, coord_range=200)
     family = build_family(cfg)
     big_grid = ParamGrid(params=tuple(Fraction(i) for i in range(100)))
-    assert big_grid.size ** 1 * len(family.curves) > 10_000_000 // 1  # sanity on sizes
+    assert big_grid.size * len(family) > INCIDENCE_GUARD
     with pytest.raises(TooLargeError):
         oracle_incidences(big_grid, family)
+    assert "curves" not in family.__dict__  # refused before any curve was built
 
 
 def test_oracle_accepts_matrix():

@@ -115,7 +115,7 @@ class TestIncidences:
         family = build_family(WORKED)
         grid = ParamGrid.from_config(WORKED)
         assert grid.size == 4
-        rep = incidences(grid, family, mode="hash")
+        rep = incidences(grid, family)
         assert rep.total == 4
         assert rep.per_curve == (2, 2)
         assert rep.positive_total == 2 and rep.negative_total == 2
@@ -128,23 +128,18 @@ class TestIncidences:
             cfg = gen_random(n=n, m=m, k=rng.choice((2, 3, 4)), seed=seed, coord_range=9 * (n + m))
             family = build_family(cfg)
             grid = ParamGrid.from_config(cfg)
-            fast = incidences(grid, family, mode="hash")
-            naive = incidences(grid, family, mode="naive")
-            assert fast == naive
-            assert fast.total == oracle_incidences(grid, family)
+            fast = incidences(grid, family)
+            per_curve = oracle_incidences(grid, family)
+            assert fast.per_curve == per_curve
             assert sum(fast.per_curve) == fast.total
+            assert fast.positive_total == sum(c for c, h in zip(per_curve, family.curves) if h.gamma > 0)
             assert fast.positive_total + fast.negative_total == fast.total
 
     def test_fractional_coordinates(self):
         cfg = fractional_config(2, n=4, m=5, k=2)
         family = build_family(cfg)
         grid = ParamGrid.from_config(cfg)
-        assert incidences(grid, family, mode="hash") == incidences(grid, family, mode="naive")
-
-    def test_unknown_mode(self):
-        family = build_family(WORKED)
-        with pytest.raises(ValueError):
-            incidences(ParamGrid.from_config(WORKED), family, mode="fast")
+        assert incidences(grid, family).per_curve == oracle_incidences(grid, family)
 
     def test_json_shape(self):
         rep = incidences(ParamGrid.from_config(WORKED), build_family(WORKED))

@@ -1,6 +1,6 @@
 """The int kernels against the rational reference paths on mixed denominators.
 
-energy_report, build_family and both incidence modes scale their input once
+energy_report, build_family and the incidence join scale their input once
 into plain ints; distance_classes and the oracles stay on the original
 rationals. Each coordinate here draws its own denominator, so the common
 scale is a genuine lcm, sometimes set by the transverse coordinates alone.
@@ -63,13 +63,6 @@ def mixed_configs(draw) -> Config:
     return cfg
 
 
-def _per_curve_oracle(grid: ParamGrid, family) -> list[int]:
-    return [
-        sum(1 for s in grid.params for t in grid.params if h.contains(s, t))
-        for h in family.curves
-    ]
-
-
 @settings(max_examples=120, deadline=None)
 @given(
     mixed_configs(),
@@ -102,10 +95,8 @@ def test_int_kernels_match_rational_references(cfg, foreign_params):
 
     # the config's own grid, then one whose denominators the family's scale misses
     for grid in (ParamGrid.from_config(cfg), ParamGrid(params=tuple(sorted(foreign_params)))):
-        fast = incidences(grid, family, mode="hash")
-        assert fast == incidences(grid, family, mode="naive")
-        assert list(fast.per_curve) == _per_curve_oracle(grid, family)
-        assert fast.total == oracle_incidences(grid, family)
+        fast = incidences(grid, family)
+        assert fast.per_curve == oracle_incidences(grid, family)
     assert incidences(ParamGrid.from_config(cfg), family).total == rep.energy_cross
 
 
@@ -153,7 +144,7 @@ def _mirror(per_curve, m: int) -> list[int]:
 
 @settings(max_examples=100, deadline=None)
 @given(dense_families(), st.lists(rationals(), max_size=6))
-def test_join_per_curve_matches_naive_and_oracle(cfg_family, foreign_params):
+def test_join_per_curve_matches_oracle(cfg_family, foreign_params):
     cfg, family = cfg_family
     own = incidences(ParamGrid.from_config(cfg), family)
     target(float(own.total), label="incidences on the config's grid")
@@ -163,9 +154,10 @@ def test_join_per_curve_matches_naive_and_oracle(cfg_family, foreign_params):
     assert own.positive_total == own.negative_total
     # a grid of other denominators, possibly with repeated values
     for grid in (ParamGrid.from_config(cfg), ParamGrid(params=tuple(foreign_params))):
-        fast = incidences(grid, family, mode="hash")
-        assert fast == incidences(grid, family, mode="naive")
-        assert list(fast.per_curve) == _per_curve_oracle(grid, family)
+        fast = incidences(grid, family)
+        per_curve = oracle_incidences(grid, family)
+        assert fast.per_curve == per_curve
+        assert fast.positive_total == sum(c for c, h in zip(per_curve, family.curves) if h.gamma > 0)
         assert fast.positive_total + fast.negative_total == fast.total == sum(fast.per_curve)
 
 
@@ -179,8 +171,7 @@ def test_join_counts_a_value_taken_twice_by_one_row(order):
     grid = ParamGrid.from_config(cfg)
     rep = incidences(grid, family)
     assert rep.per_curve == (2, 2)
-    assert rep == incidences(grid, family, mode="naive")
-    assert list(rep.per_curve) == _per_curve_oracle(grid, family)
+    assert rep.per_curve == oracle_incidences(grid, family)
     assert rep.total == energy_report(cfg).energy_cross == 4
 
 
@@ -192,8 +183,7 @@ def test_join_on_a_grid_the_family_scale_misses():
     fifths = ParamGrid(params=tuple(Fraction(a, 5) for a in range(-20, 21)))
     integers = ParamGrid(params=tuple(Fraction(a) for a in range(-4, 5)))
     rep = incidences(fifths, family)
-    assert list(rep.per_curve) == _per_curve_oracle(fifths, family)
-    assert rep == incidences(fifths, family, mode="naive")
+    assert rep.per_curve == oracle_incidences(fifths, family)
     assert rep.total > incidences(integers, family).total > 0
 
 
@@ -202,7 +192,8 @@ def test_join_with_no_incidences():
     family = build_family(cfg)
     zero = IncidenceReport(total=0, positive_total=0, negative_total=0, per_curve=(0, 0))
     for grid in (ParamGrid.from_config(cfg), ParamGrid(params=(Fraction(1, 3),)), ParamGrid(params=())):
-        assert incidences(grid, family) == zero == incidences(grid, family, mode="naive")
+        assert incidences(grid, family) == zero
+        assert oracle_incidences(grid, family) == zero.per_curve
     assert energy_report(cfg).energy_cross == 0
 
 
@@ -253,8 +244,7 @@ def test_kernels_do_no_fraction_arithmetic(monkeypatch):
     energy_report(mat)
     family = build_family(cfg)
     for g in (ParamGrid.from_config(cfg), grid):
-        incidences(g, family, mode="hash")
-        incidences(g, family, mode="naive")
+        incidences(g, family)
 
 
 def test_numpy_kernel_does_no_fraction_arithmetic(monkeypatch):

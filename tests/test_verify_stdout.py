@@ -1,10 +1,13 @@
-"""ddlab verify's stdout, pinned byte for byte on four recorded inputs.
+"""ddlab verify's stdout, pinned byte for byte on five recorded inputs.
 
 tests/data/verify holds each input (<name>.csv) with the text (<name>.txt)
 and --json (<name>.json) stdout recorded before the oracles and
 intersection_count moved to key and int arithmetic: a random c=1 config with
 fractional coordinates, a 50x50 cylinder config past the quadruple oracle's
 guard (the SKIP path), the radical-line fixture and an orthogonal matrix.
+incidence-guard (`ddlab gen --n 100 --m 40 --seed 1`, recorded before the
+quadratic incidence scan was deleted) is reducible but past the incidence
+oracle's guard, so both incidence lines take their SKIP path.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ import pytest
 
 from ddlab.cli import main
 from ddlab.io import load_source
-from ddlab.oracles import QUADRUPLE_GUARD
+from ddlab.exact import validate_constraints
+from ddlab.oracles import INCIDENCE_GUARD, QUADRUPLE_GUARD
 from conftest import RADICAL_LINE
 
 DATA = Path(__file__).parent / "data" / "verify"
-INPUTS = ("fractional", "cylinder", "radical-line", "matrix")
+INPUTS = ("fractional", "cylinder", "radical-line", "matrix", "incidence-guard")
 
 
 @pytest.mark.parametrize("name", INPUTS)
@@ -36,3 +40,6 @@ def test_recorded_inputs():
     assert any(v.denominator > 1 for p in frac.p2_points for v in p.coords)
     cyl = load_source(DATA / "cylinder.csv")
     assert cyl.n * cyl.m > QUADRUPLE_GUARD
+    big = load_source(DATA / "incidence-guard.csv")
+    assert big.n ** 2 * big.m * (big.m - 1) > INCIDENCE_GUARD
+    assert validate_constraints(big, c=1).ok
