@@ -24,6 +24,7 @@ from .errors import (
     EmptyResultError,
     GenerationExhaustedError,
     InvalidCountError,
+    InvalidRangeError,
 )
 from .exact import Config, Point, Rational, _frac, int_view, rho_sq
 
@@ -213,7 +214,7 @@ def gen_random(n: int, m: int, k: int, seed: int, coord_range: int) -> Config:
     if k < 2:
         raise ValueError("k must be at least 2")
     if coord_range < n + m:
-        raise ValueError("coord_range must be at least n + m")
+        raise InvalidRangeError("coord_range must be at least n + m")
     rng = random.Random(seed)
     params = tuple(sorted(Fraction(v) for v in rng.sample(range(coord_range + 1), n)))
     budget = 100 * m

@@ -28,6 +28,10 @@ class InvalidCountError(DdlabError):
     """A generator was asked for a nonpositive number of points."""
 
 
+class InvalidRangeError(DdlabError, ValueError):
+    """A random generator's coordinate range is too small for the requested points."""
+
+
 class DegenerateHyperbolaError(DdlabError):
     """An ordered pair with equal squared axis distances; the curve would be a line pair."""
 
@@ -54,6 +58,10 @@ class WrongSignError(DdlabError):
 
 class IdenticalCurvesError(DdlabError):
     """Pairwise intersection needs two distinct curves."""
+
+
+class IntersectionCheckError(DdlabError):
+    """A computed intersection point fails a curve equation (implementation bug)."""
 
 
 class TooLargeError(DdlabError):

@@ -19,12 +19,14 @@ backwards: it groups the n m scaled values sq_dist(s, p) and pairs equal
 values of distinct points, in O(n m + I) for I incidences. Hyperbola values,
 with their rational coefficients, are built only for callers that ask.
 
-Subtracting two curve equations cancels the quadratic part, leaving a line,
-so two distinct curves of the family meet in at most two points: the family
-behaves like pseudo-parabolas. Intersection counting is exact: it clears
-the denominators of the two curves and reads the sign of an integer
-discriminant; intersection points are materialized, as Fractions, only when
-their coordinates are rational.
+Subtracting two curve equations cancels the quadratic part, leaving the
+radical line, so two distinct curves of the family meet in at most two
+points: the family behaves like pseudo-parabolas. Intersection counting
+walks that line from its foot: on the line, the first curve's equation is
+one integer quadratic in the walk parameter, whatever the line's direction,
+so a single case analysis (no line, a line parallel to an asymptote, or the
+sign of a discriminant) gives the count. Points are materialized, as
+Fractions, only when their coordinates are rational.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .errors import (
     DegenerateHyperbolaError,
     DuplicateCurveError,
     IdenticalCurvesError,
+    IntersectionCheckError,
     NotIncidentError,
     WrongSignError,
 )
@@ -105,7 +108,8 @@ class HyperbolaFamily:
     Stored as the config's scaled int columns (exact.int_view): with L =
     scale, curve (i, j) has alpha = -firsts[i] / L, beta = -firsts[j] / L and
     gamma = (rhos[i] - rhos[j]) / L^2. curves builds the Hyperbola values on
-    first access; the counting kernels read the columns.
+    first access, iter_curves one at a time; the counting kernels read the
+    columns.
     """
 
     scale: int
@@ -119,14 +123,16 @@ class HyperbolaFamily:
     def __len__(self) -> int:
         return self.m * (self.m - 1)
 
-    @cached_property
-    def curves(self) -> tuple[Hyperbola, ...]:
+    def iter_curves(self) -> Iterator[Hyperbola]:
+        """The Hyperbola values in curves order, each built when it is reached."""
         axis = [Fraction(-x, self.scale) for x in self.firsts]
         sq = self.scale * self.scale
-        return tuple(
-            Hyperbola(axis[i], axis[j], Fraction(self.rhos[i] - self.rhos[j], sq), (i, j))
-            for i, j in _ordered_pairs(self.m)
-        )
+        for i, j in _ordered_pairs(self.m):
+            yield Hyperbola(axis[i], axis[j], Fraction(self.rhos[i] - self.rhos[j], sq), (i, j))
+
+    @cached_property
+    def curves(self) -> tuple[Hyperbola, ...]:
+        return tuple(self.iter_curves())
 
     @property
     def positive_count(self) -> int:
@@ -189,6 +195,10 @@ def incidences(grid: ParamGrid, family: HyperbolaFamily) -> IncidenceReport:
     (point i, grid value s) once by (s + shift_i)^2 + rho_i, and a value
     taken c_i times by point i and c_j times by point j != i puts c_i c_j
     grid points on curve (i, j). That is O(n m + I) work for I incidences.
+
+    Each shared value counts for (i, j) and for (j, i), so per_curve is
+    symmetric under the mirror (i, j) -> (j, i), which negates gamma: half of
+    the total lies on gamma > 0 curves and half on gamma < 0 ones.
     """
     scale = math.lcm(family.scale, common_denominator(grid.params))
     factor = scale // family.scale
@@ -209,19 +219,11 @@ def incidences(grid: ParamGrid, family: HyperbolaFamily) -> IncidenceReport:
         for i, j in permutations(points, 2):
             if i != j:
                 per_curve[i * (m - 1) + j - (j > i)] += 1
-    positive = negative = 0
-    for k, c in enumerate(per_curve):
-        if c:
-            i, r = divmod(k, m - 1)  # the inverse of the index map above
-            gamma = rhos[i] - rhos[r + (r >= i)]
-            if gamma > 0:
-                positive += c
-            elif gamma < 0:
-                negative += c
+    total = sum(per_curve)
     return IncidenceReport(
-        total=sum(per_curve),
-        positive_total=positive,
-        negative_total=negative,
+        total=total,
+        positive_total=total // 2,
+        negative_total=total // 2,
         per_curve=tuple(per_curve),
     )
 
@@ -336,77 +338,48 @@ class IntersectionResult:
 def intersection_count(h1: Hyperbola, h2: Hyperbola) -> IntersectionResult:
     """Exact number of common points of two distinct family curves.
 
-    The difference of the two equations is linear (the radical line); if its
-    coefficients all vanish apart from the constant, the curves differ only
-    in gamma and never meet. Otherwise the line is substituted back and the
-    discriminant sign counts the crossings: always at most two.
+    The difference of the two equations is the radical line la X + lb Y +
+    lc = 0; curves with the same (alpha, beta) differ only in gamma, have no
+    line and never meet. Otherwise the walk X = (-lc la + u lb) / d, Y =
+    (-lc lb - u la) / d with d = la^2 + lb^2 runs along the line from its
+    foot, and d^2 times the first curve reads qa u^2 + qb u + qc = 0: one
+    quadratic in u, whatever the line's direction, so at most two crossings.
 
     Runs on ints: with L the lcm of the six coefficient denominators, X = L x
     and Y = L y give integral a = L alpha, b = L beta and g = L^2 gamma, and
-    each quantity is the rational one times a positive square (L^2, lb^2 or
-    la^2), which keeps every sign and every perfect square.
+    each quantity is the rational one times a positive square, which keeps
+    every sign and every perfect square.
     """
     coeffs = (h1.alpha, h1.beta, h1.gamma, h2.alpha, h2.beta, h2.gamma)
-    scale = math.lcm(*(v.denominator for v in coeffs))
+    scale = math.lcm(*[v.denominator for v in coeffs])
     factors = (scale, scale, scale * scale) * 2
-    a1, b1, g1, a2, b2, g2 = (v.numerator * (f // v.denominator) for v, f in zip(coeffs, factors))
+    a1, b1, g1, a2, b2, g2 = [v.numerator * (f // v.denominator) for v, f in zip(coeffs, factors)]
     if (a1, b1, g1) == (a2, b2, g2):
         raise IdenticalCurvesError("needs two distinct curves")
-    # radical line la X + lb Y + lc = 0
     la = 2 * (a1 - a2)
     lb = -2 * (b1 - b2)
     lc = a1 * a1 - a2 * a2 - b1 * b1 + b2 * b2 + g1 - g2
-    if la == 0 and lb == 0:
-        # same (alpha, beta), different gamma: the "radical line" is the
-        # contradiction 0 = lc with lc != 0, so the curves are disjoint
+    d = la * la + lb * lb
+    if d == 0:  # translates: the "line" is the contradiction 0 = lc != 0
         return IntersectionResult(count=0, points=())
-    roots: list[tuple[Fraction, Fraction]] = []  # (X, Y) of rational crossings
-    if lb != 0:
-        # Y = -(la X + lc) / lb; lb^2 times curve 1 reads
-        # lb^2 (X + a1)^2 - (la X - w)^2 + lb^2 g1 = 0 with w = lb b1 - lc
-        w = lb * b1 - lc
-        qa = lb * lb - la * la
-        qb = 2 * (lb * lb * a1 + la * w)
-        qc = lb * lb * (a1 * a1 + g1) - w * w
-        xs: list[Fraction] = []
-        if qa == 0 and qb == 0:
-            # the radical line is parallel to an asymptote and misses h1: on
-            # it the equation reads qc = 0, and qc != 0 because a curve with
-            # gamma != 0 contains no line
-            count = 0
-        elif qa == 0:
-            xs.append(Fraction(-qc, qb))
-            count = 1
-        else:
-            disc = qb * qb - 4 * qa * qc
-            if disc < 0:
-                count = 0
-            elif disc == 0:
-                xs.append(Fraction(-qb, 2 * qa))
-                count = 1
-            else:
-                count = 2
-                root = math.isqrt(disc)
-                if root * root == disc:
-                    xs += [Fraction(-qb + sign * root, 2 * qa) for sign in (-1, 1)]
-        roots = [(x, -(la * x + lc) / lb) for x in xs]
+    p = a1 * d - lc * la  # d (X + a1) = p + u lb and d (Y + b1) = q - u la
+    q = b1 * d - lc * lb
+    qa = lb * lb - la * la
+    qb = 2 * (p * lb + q * la)
+    qc = p * p - q * q + g1 * d * d
+    if qa == 0:
+        # the line is parallel to an asymptote: it crosses the curve once, or
+        # misses it when qb = 0, since qc = 0 would put the line on the curve
+        roots = {Fraction(-qc, qb)} if qb else set()
+        count = len(roots)
     else:
-        # vertical radical line X = -lc / la; la^2 times curve 1 reads
-        # (la (Y + b1))^2 = (la a1 - lc)^2 + la^2 g1
-        x0 = Fraction(-lc, la)
-        rhs = (la * a1 - lc) ** 2 + la * la * g1
-        if rhs < 0:
-            count = 0
-        elif rhs == 0:
-            count = 1
-            roots.append((x0, Fraction(-b1)))
-        else:
-            count = 2
-            root = math.isqrt(rhs)
-            if root * root == rhs:
-                roots += [(x0, Fraction(sign * root, la) - b1) for sign in (-1, 1)]
-    points = [(x / scale, y / scale) for x, y in roots]
+        disc = qb * qb - 4 * qa * qc
+        count = 0 if disc < 0 else 1 if disc == 0 else 2
+        root = math.isqrt(max(disc, 0))
+        rational = root * root == disc  # never for disc < 0
+        roots = {Fraction(-qb + sign * root, 2 * qa) for sign in (-1, 1)} if rational else set()
+    points = [((u * lb - lc * la) / (d * scale), (-u * la - lc * lb) / (d * scale)) for u in roots]
     for pt in points:
         if not (h1.contains(*pt) and h2.contains(*pt)):
-            raise AssertionError(f"computed point {pt} fails the curve equations")
+            raise IntersectionCheckError(f"computed point {pt} fails the curve equations")
     return IntersectionResult(count=count, points=tuple(sorted(points)))

@@ -5,45 +5,45 @@ the float bounds and records the observed-to-bound ratios. Energy metrics
 describe the generated source as-is; the incidence columns are filled only
 when the source is a coordinate config already satisfying the c = 1
 conditions (the cylinder construction violates them on purpose, so its
-incidence columns stay empty). Rows are ordered by (n, m, seed) and every
+incidence columns stay empty). A row whose generator refuses it (a count
+below 1, a coord range below n + m, an exhausted draw budget) carries the
+reason in its error cell instead. Rows are ordered by (n, m, seed) and every
 cell is formatted deterministically: the same spec writes byte-identical
 CSV on every run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 from . import bounds
-from .configs import gen_cylinder_extremal, gen_orthogonal_extremal, gen_random
+from .configs import SqDistMatrix, gen_cylinder_extremal, gen_orthogonal_extremal, gen_random
 from .energy import check_chain, energy_report
 from .errors import DdlabError
-from .exact import Config, validate_constraints
+from .exact import Config, Rational, validate_constraints
 from .reduction import ParamGrid, build_family, incidences
 
 GENERATORS = ("random", "cylinder", "orthogonal")
 
-CSV_COLUMNS = (
-    "n",
-    "m",
-    "k",
-    "seed",
-    "generator",
-    "error",
-    "x",
-    "Q",
-    "Q0",
-    "Q1",
-    "I",
-    "bound_min",
-    "regime",
-    "ratio_x_over_bound",
-    "ratio_Q_over_expr",
-    "chain_ok",
-    "q0_ok",
-    "bijection_ok",
-)
+
+def generate(
+    generator: str,
+    n: int,
+    m: int,
+    *,
+    k: int,
+    seed: int,
+    coord_range: int | None,
+    offset: Rational | str = 1,
+) -> Config | SqDistMatrix:
+    """One source from a named generator; random configs draw from 4(n + m) by default."""
+    if generator == "random":
+        rng_range = coord_range if coord_range is not None else 4 * (n + m)
+        return gen_random(n=n, m=m, k=k, seed=seed, coord_range=rng_range)
+    if generator == "cylinder":
+        return gen_cylinder_extremal(n=n, m=m, h=offset)
+    return gen_orthogonal_extremal(n=n, m=m)
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,9 @@ class SweepRow:
     bijection_ok: bool | None = None
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -96,13 +99,7 @@ def _cell(value) -> str:
 def compute_row(spec: SweepSpec, n: int, m: int, seed: int) -> SweepRow:
     base = dict(n=n, m=m, k=spec.k, seed=seed, generator=spec.generator)
     try:
-        if spec.generator == "random":
-            rng_range = spec.coord_range if spec.coord_range is not None else 4 * (n + m)
-            src = gen_random(n=n, m=m, k=spec.k, seed=seed, coord_range=rng_range)
-        elif spec.generator == "cylinder":
-            src = gen_cylinder_extremal(n=n, m=m)
-        else:
-            src = gen_orthogonal_extremal(n=n, m=m)
+        src = generate(spec.generator, n, m, k=spec.k, seed=seed, coord_range=spec.coord_range)
     except DdlabError as exc:
         return SweepRow(error=str(exc), **base)
     rep = energy_report(src)

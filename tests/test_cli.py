@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ddlab.cli
+import ddlab.reduction
 from ddlab import energy_report, gen_random
 from ddlab.cli import main
 from ddlab.io import load_source, save_source
@@ -174,6 +175,19 @@ class TestVerify:
         assert f"{modes} incidence-modes: hash 4 vs naive {sum(per_curve)}\n" in out
         assert f"{oracle} incidence-oracle: oracle {sum(per_curve)} vs fast 4\n" in out
         assert "PASS bijection: Q1 = 4 vs incidences = 4\n" in out
+
+    def test_intersection_self_check_fails(self, tmp_path, capsys, monkeypatch):
+        # the radical-line fixture has sampled pairs with rational crossings,
+        # so a curve membership test that always says no trips the self-check
+        path = tmp_path / "cfg.csv"
+        save_source(RADICAL_LINE, path)
+        monkeypatch.setattr(ddlab.reduction.Hyperbola, "contains", lambda self, s, t: False)
+        code = main(["verify", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "\nFAIL intersections: computed point (" in captured.out
+        assert "PASS bijection" in captured.out
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestBound:

@@ -5,8 +5,8 @@ counts the distinct real solutions and the rational ones. The property runs
 over arbitrary Hyperbola pairs with small rational coefficients, not only
 pairs drawn from one config's family; pairs that share alpha, beta or a
 diagonal offset are drawn on purpose, since they reach the degenerate
-branches (vertical or asymptote-parallel radical lines, disjoint
-translates).
+branches (horizontal, vertical or asymptote-parallel radical lines,
+disjoint translates).
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ CASES = (
     ("asymptote-miss", _curve(0, -1, -24), _curve(-1, -2, -24)),
     ("tangent", _curve(0, 0, 1), _curve(0, -3, 4)),
     ("two-rational", _curve(0, 0, -4), _curve(-3, -2, 3)),
+    ("two-horizontal", _curve(0, 0, -3), _curve(0, -2, -3)),
     ("two-irrational", _curve(Fraction(1, 2), Fraction(2, 3), Fraction(5, 7)),
      _curve(Fraction(-1, 3), Fraction(1, 5), Fraction(-3, 2))),
     ("none", _curve(0, 0, -4), _curve(-3, -2, -4)),
@@ -95,6 +96,11 @@ def test_cases_reach_every_branch():
         assert name.startswith(regime), (name, regime)
     points = {name: sympy_intersections(h1, h2) for name, h1, h2 in CASES}
     assert points["vertical-rational"][1] and points["two-rational"][1]
+    # a horizontal radical line (same alpha) crossing twice, and one touching
+    assert points["two-horizontal"] == (2, ((-2, 1), (2, 1)))
+    assert [name for name, h1, h2 in CASES if h1.alpha == h2.alpha and h1.beta != h2.beta] == [
+        "tangent", "two-horizontal",
+    ]
     assert points["vertical-irrational"] == (2, ()) and points["two-irrational"] == (2, ())
     assert points["vertical-tangent"][0] == points["tangent"][0] == 1
 
@@ -104,10 +110,10 @@ def curve_pairs(draw) -> tuple[Hyperbola, Hyperbola]:
     small = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3)))
     nonzero = small.filter(bool)
     a1, b1, g1, a2, b2, g2 = draw(st.tuples(small, small, nonzero, small, small, nonzero))
-    shape = draw(st.sampled_from(("free", "same-beta", "same-axes", "diagonal", "antidiagonal")))
+    shape = draw(st.sampled_from(("free", "same-alpha", "same-beta", "same-axes", "diagonal", "antidiagonal")))
     if shape in ("same-beta", "same-axes"):
         b2 = b1
-    if shape == "same-axes":
+    if shape in ("same-alpha", "same-axes"):
         a2 = a1
     if shape == "diagonal":
         b2 = b1 + (a2 - a1)

@@ -66,6 +66,14 @@ def test_generation_failure_fills_error_column(monkeypatch):
     assert "ran out of attempts" in line
 
 
+def test_too_small_coord_range_fails_only_its_row():
+    # 4 + 4 <= 10 < 16 + 4: one row generates, the other gets an error cell
+    small, large = run_sweep(SweepSpec(n_list=(4, 16), m_list=(4,), seeds=(0,), coord_range=10))
+    assert small.error == "" and small.I == small.Q1 and small.bijection_ok
+    assert large.error == "coord_range must be at least n + m"
+    assert large.x is None and large.I is None
+
+
 def test_unknown_generator_rejected():
     with pytest.raises(ValueError):
         SweepSpec(n_list=(2,), m_list=(2,), seeds=(0,), generator="spiral")

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from ddlab.cli import main
+from ddlab.reduction import Hyperbola
 from ddlab.io import load_source
 from ddlab.exact import validate_constraints
 from ddlab.oracles import INCIDENCE_GUARD, QUADRUPLE_GUARD
@@ -43,3 +44,19 @@ def test_recorded_inputs():
     big = load_source(DATA / "incidence-guard.csv")
     assert big.n ** 2 * big.m * (big.m - 1) > INCIDENCE_GUARD
     assert validate_constraints(big, c=1).ok
+
+
+def test_intersections_build_only_the_sampled_curves(capsys, monkeypatch):
+    # past the incidence guard nothing else reads the curves: verify builds
+    # the 40 it intersects, not all 1560
+    built = []
+    post_init = Hyperbola.__post_init__
+
+    def counting(self):
+        built.append(self.src)
+        post_init(self)
+
+    monkeypatch.setattr(Hyperbola, "__post_init__", counting)
+    assert main(["verify", "--input", str(DATA / "incidence-guard.csv")]) == 0
+    assert capsys.readouterr().out == (DATA / "incidence-guard.txt").read_text(encoding="utf-8")
+    assert 0 < len(built) <= 40
