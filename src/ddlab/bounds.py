@@ -10,13 +10,20 @@ a bound. The default convention is the natural log; base-2 is available
 because the clamp makes the base visible in the numbers. Companion
 evaluators give the incidence upper bound for pseudo-parabola families and
 the energy upper-bound expression in n and m.
+
+Where a term cannot be a finite float (n^3 overflows past about 5.6e102,
+a square past about 1.3e154), an evaluator raises TooLargeError instead
+of an OverflowError or an infinite result.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
+
+from .errors import TooLargeError
 
 LOG_CONVENTIONS = ("ln-clamped", "log2-clamped")
 
@@ -30,6 +37,22 @@ def clamped_log(value: float, log_convention: str = "ln-clamped") -> float:
     raise ValueError(f"unknown log convention {log_convention!r}")
 
 
+def _finite(evaluate):
+    """Raise TooLargeError where evaluate overflows a float or returns inf."""
+
+    @functools.wraps(evaluate)
+    def guarded(*args, **kwargs):
+        try:
+            value = evaluate(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if isinstance(value, float) and not math.isfinite(value):
+            raise TooLargeError(f"{evaluate.__name__}: arguments too large, a term is not a finite float")
+        return value
+
+    return guarded
+
+
 class Regime(enum.Enum):
     R1 = "R1"  # m <= n^(1/2)
     R2 = "R2"  # n^(1/2) < m <= n^(4/5) / log^(3/5) n
@@ -37,6 +60,7 @@ class Regime(enum.Enum):
     R4 = "R4"  # m > n^3
 
 
+@_finite
 def regime(n: int, m: int, log_convention: str = "ln-clamped") -> Regime:
     """Which piece of the bound applies at (n, m); exactly one always does."""
     if n < 1 or m < 1:
@@ -80,6 +104,7 @@ class BoundReport:
         }
 
 
+@_finite
 def distinct_lower_bound(n: int, m: int, log_convention: str = "ln-clamped") -> BoundReport:
     """Evaluate all four terms of the lower bound and their min at (n, m)."""
     if n < 1 or m < 1:
@@ -110,6 +135,7 @@ def distinct_lower_bound(n: int, m: int, log_convention: str = "ln-clamped") -> 
     )
 
 
+@_finite
 def incidence_upper_bound(points: int, curves: int, log_convention: str = "ln-clamped") -> float:
     """Upper bound on incidences between points and pseudo-parabola-like curves.
 
@@ -127,6 +153,7 @@ def incidence_upper_bound(points: int, curves: int, log_convention: str = "ln-cl
     )
 
 
+@_finite
 def energy_upper_expr(n: int, m: int, log_convention: str = "ln-clamped") -> float:
     """The closed-form energy upper-bound expression at (n, m), log clamped.
 

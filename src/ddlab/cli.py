@@ -6,7 +6,7 @@ identity that applies and report pass/fail), bound (float bound report),
 sweep (deterministic CSV over an (n, m, seed) grid).
 
 Exit codes: 0 when everything passed, 1 when an exact identity check
-failed, 2 on input errors.
+failed, 2 on input errors, 3 on an internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -340,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DdlabError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:  # a bug, never "an identity failed" (exit 1)
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

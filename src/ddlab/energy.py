@@ -14,7 +14,10 @@ and the energy: x * Q >= (nm - x)^2 exactly, and when x <= nm/2 also
 energy_report counts on plain ints: it scales a config once with
 exact.int_view (every squared distance times L^2) and a matrix by the common
 denominator of its entries, and one positive factor keeps every equality.
-distance_classes stays on the original rationals and checks that scaling.
+distance_classes stays on the original rationals and checks that scaling:
+it groups a config's pairs by the reduced (numerator, denominator) int pair
+of each squared distance (exact.sq_dist_rows, one gcd per value) and builds
+one Fraction key per class at the end.
 
 energy_report has two kernels. The stdlib kernel streams one column at a
 time through Counters; it runs on every input and is the reference. On
@@ -29,10 +32,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Union
 
 from .configs import SqDistMatrix
-from .exact import Config, common_denominator, int_view, rho_sq, scaled_ints
+from .exact import Config, common_denominator, int_view, scaled_ints, sq_dist_rows
 
 Source = Union[Config, SqDistMatrix]
 
@@ -128,11 +132,11 @@ def distance_classes(src: Source) -> DistanceClasses:
             for j, d in enumerate(row):
                 classes.setdefault(d, []).append((i, j))
     else:
-        cols = [(p.coords[0], rho_sq(p)) for p in src.p2_points]
-        for i, a in enumerate(src.p1_params):
-            for j, (f, r) in enumerate(cols):
-                t = a - f
-                classes.setdefault(t * t + r, []).append((i, j))
+        by_key: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for i, row in enumerate(sq_dist_rows(src)):
+            for j, key in enumerate(row):
+                by_key.setdefault(key, []).append((i, j))
+        classes = {Fraction(num, den): pairs for (num, den), pairs in by_key.items()}
     return DistanceClasses(n=src.n, m=src.m, classes=classes)
 
 

@@ -65,4 +65,4 @@ class IntersectionCheckError(DdlabError):
 
 
 class TooLargeError(DdlabError):
-    """Brute-force oracle guard tripped; input exceeds the desk-scale budget."""
+    """Input too large: past a brute-force oracle's desk-scale guard, or past float range in a bound."""

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import FormatError, excerpt
 
@@ -98,6 +98,33 @@ def sq_dist(a_param: Rational | str, p: Point) -> Fraction:
     a = _frac(a_param)
     d = a - p.coords[0]
     return d * d + rho_sq(p)
+
+
+def sq_dist_rows(cfg: Config) -> Iterator[list[tuple[int, int]]]:
+    """Each axis parameter's squared distances to every P2 point, as reduced pairs.
+
+    Row i holds sq_dist(p1_params[i], p) for each P2 point p, in order, as
+    its reduced (numerator, denominator): equal pairs iff equal values. Each
+    value costs one gcd instead of a chain of Fraction operators. With
+    a = an/ad, the point's first coordinate f = fn/fd and r = rho_sq = rn/rd,
+    a - f = tn/td for tn = an fd - fn ad and td = ad fd, so
+    (a - f)^2 + r = (tn^2 rd + rn td^2) / (td^2 rd).
+    """
+    cols = []
+    for p in cfg.p2_points:
+        f, r = p.coords[0], rho_sq(p)
+        cols.append((f.numerator, f.denominator, r.numerator, r.denominator))
+    for a in cfg.p1_params:
+        an, ad = a.numerator, a.denominator
+        row = []
+        for fn, fd, rn, rd in cols:
+            tn = an * fd - fn * ad
+            td2 = ad * fd * ad * fd
+            num = tn * tn * rd + rn * td2
+            den = td2 * rd
+            g = math.gcd(num, den)
+            row.append((num // g, den // g))
+        yield row
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,11 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddlab import (
     Regime,
+    TooLargeError,
     clamped_log,
     distinct_lower_bound,
     energy_upper_expr,
@@ -152,3 +154,44 @@ class TestCompanionExpressions:
             incidence_upper_bound(0, 5)
         with pytest.raises(ValueError):
             energy_upper_expr(5, 0)
+
+
+class TestFloatRange:
+    """Past float range the evaluators raise TooLargeError, never OverflowError or inf."""
+
+    def test_overflowing_square(self):
+        with pytest.raises(TooLargeError):
+            distinct_lower_bound(3, 10**155)
+
+    def test_overflowing_regime_cut(self):
+        # m is past n^0.8, so the R3 cut needs n^3, about 1e309
+        with pytest.raises(TooLargeError):
+            regime(10**103, 10**90)
+
+    def test_infinite_product(self):
+        # each factor is finite, their product is not
+        with pytest.raises(TooLargeError):
+            energy_upper_expr(10**120, 10**120)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 10**400) | st.integers(1, 10**6),
+        st.integers(1, 10**400) | st.integers(1, 10**6),
+        st.sampled_from(("ln-clamped", "log2-clamped")),
+    )
+    def test_finite_or_too_large(self, n, m, log_convention):
+        evaluators = (
+            lambda: distinct_lower_bound(n, m, log_convention).to_json_dict(),
+            lambda: energy_upper_expr(n, m, log_convention),
+            lambda: incidence_upper_bound(n, m, log_convention),
+        )
+        for evaluate in evaluators:
+            try:
+                value = evaluate()
+            except TooLargeError:
+                continue
+            if isinstance(value, dict):
+                value = [value["min"], value["piecewise"], *value["terms"].values()]
+            else:
+                value = [value]
+            assert all(math.isfinite(v) for v in value)

@@ -206,6 +206,14 @@ class TestBound:
         assert code == 0
         assert abs(json.loads(out)["terms"]["logterm"] - 101.35257133667804) < 1e-9
 
+    def test_overflowing_terms_are_an_input_error(self, capsys):
+        code = main(["bound", "--n", "3", "--m", str(10**155)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: distinct_lower_bound: arguments too large")
+        assert "Traceback" not in captured.err
+
 
 class TestSweep:
     def test_stdout_determinism(self, capsys):
@@ -259,6 +267,21 @@ class TestErrors:
         path.write_text("k=\u0662,c=+1\nP1,0\nP2,1,2\n", encoding="utf-8")
         assert main(["stats", "--input", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: expected k=<int>,c=<int> header")
+
+    def test_unexpected_exception_exits_three(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "cfg.csv"
+        save_source(RADICAL_LINE, path)
+
+        def broken(src):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(ddlab.cli, "energy_report", broken)
+        code = main(["stats", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: injected\n"
+        assert "Traceback" not in captured.err
 
     def test_argparse_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

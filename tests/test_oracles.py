@@ -43,9 +43,9 @@ def test_quadruple_oracle_guard_comes_before_the_table(monkeypatch):
     assert cfg.n * cfg.m > QUADRUPLE_GUARD
 
     def no_distances(*args):
-        raise AssertionError("sq_dist called before the guard")
+        raise AssertionError("sq_dist_rows called before the guard")
 
-    monkeypatch.setattr(ddlab.oracles, "sq_dist", no_distances)
+    monkeypatch.setattr(ddlab.oracles, "sq_dist_rows", no_distances)
     with pytest.raises(TooLargeError):
         oracle_quadruples(cfg)
 
