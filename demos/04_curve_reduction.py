@@ -14,7 +14,6 @@ from ddlab import (
     ParamGrid,
     build_family,
     classify_branch,
-    classify_side,
     energy_report,
     incidences,
     intersection_count,
@@ -30,7 +29,8 @@ fam = build_family(cfg)
 print("curves (alpha, beta, gamma):")
 for h in fam.curves:
     print(f"  pair {h.src}: ({h.alpha}, {h.beta}, {h.gamma})")
-print("positive gammas:", fam.positive_count, " negative:", fam.negative_count)
+positive = sum(1 for h in fam.curves if h.gamma > 0)
+print("positive gammas:", positive, " negative:", len(fam) - positive)
 
 # Count grid points on curves by the grouped join, and check every curve's
 # count against the oracle, which evaluates each curve at each grid point.
@@ -52,7 +52,7 @@ for entry in audit.audit:
 entry = audit.audit[0]
 h = next(c for c in fam.curves if c.src == entry.curve_src)
 s, t = entry.point
-name = (classify_branch(s, t, h) if h.gamma > 0 else classify_side(s, t, h)).value
+name = classify_branch(s, t, h).value
 print("\ncurve", h.src, "has gamma =", h.gamma)
 print(f"grid point ({s}, {t}) sits on its {name} branch")
 

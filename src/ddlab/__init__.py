@@ -55,7 +55,6 @@ from .errors import (
     InvalidRangeError,
     NotIncidentError,
     TooLargeError,
-    WrongSignError,
 )
 from .exact import (
     Config,
@@ -80,7 +79,6 @@ from .reduction import (
     ParamGrid,
     build_family,
     classify_branch,
-    classify_side,
     incidences,
     intersection_count,
     verify_bijection,
@@ -126,12 +124,10 @@ __all__ = [
     "TooLargeError",
     "ValidationReport",
     "Violation",
-    "WrongSignError",
     "build_family",
     "check_chain",
     "clamped_log",
     "classify_branch",
-    "classify_side",
     "distance_classes",
     "distinct_lower_bound",
     "energy",

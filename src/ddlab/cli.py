@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from itertools import combinations, islice
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .energy import check_chain, distance_classes, energy, energy_report
 from .errors import DdlabError, IntersectionCheckError, TooLargeError
 from .exact import Config, validate_constraints
 from .oracles import oracle_incidences, oracle_quadruples
-from .reduction import ParamGrid, build_family, incidences, intersection_count
+from .reduction import ParamGrid, _ordered_pairs, build_family, incidences, intersection_count
 from .sweep import GENERATORS, CSV_COLUMNS, SweepSpec, generate, rows_to_csv, run_sweep
 
 SWEEP_COLUMNS_HELP = "CSV columns, in order: " + ", ".join(CSV_COLUMNS)
@@ -152,9 +153,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if args.json:
         sys.stdout.write(json.dumps(rep.to_json_dict(), indent=2) + "\n")
     else:
+        half = len(family) // 2  # the mirror (i, j) -> (j, i) negates gamma
         sys.stdout.write(
-            f"curves: {len(family)} (gamma>0: {family.positive_count}, "
-            f"gamma<0: {family.negative_count})\n"
+            f"curves: {len(family)} (gamma>0: {half}, gamma<0: {half})\n"
             f"incidences: {rep.total} (on gamma>0: {rep.positive_total}, "
             f"on gamma<0: {rep.negative_total})\n"
         )
@@ -166,13 +167,20 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
     checks: list[tuple[str, str, str]] = []
     n, m = src.n, src.m
 
-    report = validate_constraints(src) if isinstance(src, Config) else None
-    if report is None:
-        checks.append(("constraints", "SKIP", "matrix input has no coordinates"))
-    elif report.ok:
-        checks.append(("constraints", "PASS", f"multiplicities within c={src.c}"))
+    line_like = True  # every column repeats a value at most twice, as distances from a line do
+    if isinstance(src, Config):
+        report = validate_constraints(src)
+        if report.ok:
+            checks.append(("constraints", "PASS", f"multiplicities within c={src.c}"))
+        else:
+            checks.append(("constraints", "FAIL", f"{len(report.violations)} violation(s) at c={src.c}"))
     else:
-        checks.append(("constraints", "FAIL", f"{len(report.violations)} violation(s) at c={src.c}"))
+        crowded = sum(1 for col in zip(*src.entries) if max(Counter(col).values()) > 2)
+        line_like = crowded == 0
+        if line_like:
+            checks.append(("constraints", "PASS", "no column repeats a value more than twice"))
+        else:
+            checks.append(("constraints", "FAIL", f"{crowded} column(s) repeat a value more than twice"))
 
     rep = energy_report(src)
     slow = energy(distance_classes(src))
@@ -203,10 +211,13 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
             f"x*Q - (nm-x)^2 = {chain.slack}, x<=nm/2: {chain.x_le_half}",
         )
     )
-    q0_ok = rep.energy_same_point <= n * m
-    checks.append(
-        ("q0-bound", "PASS" if q0_ok else "FAIL", f"Q0 = {rep.energy_same_point} vs nm = {n * m}")
-    )
+    if line_like:
+        q0_ok = rep.energy_same_point <= n * m
+        checks.append(
+            ("q0-bound", "PASS" if q0_ok else "FAIL", f"Q0 = {rep.energy_same_point} vs nm = {n * m}")
+        )
+    else:
+        checks.append(("q0-bound", "SKIP", "a column repeats a value more than twice"))
 
     reducible = (
         isinstance(src, Config) and m >= 2 and validate_constraints(src, c=1).ok
@@ -218,16 +229,19 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
         return checks
 
     family = build_family(src)
-    balanced = family.positive_count == family.negative_count == m * (m - 1) // 2
-    checks.append(
-        (
-            "family",
-            "PASS" if balanced else "FAIL",
-            f"{len(family)} curves, sign split {family.positive_count}/{family.negative_count}",
-        )
-    )
     grid = ParamGrid.from_config(src)
     fast = incidences(grid, family)
+    # the per-sign totals are total // 2 because curve (i, j) and its mirror
+    # (j, i), of opposite gamma, carry the same incidences: check every pair
+    count = dict(zip(_ordered_pairs(m), fast.per_curve))
+    broken = next(((i, j) for (i, j), c in count.items() if c != count[(j, i)]), None)
+    half = len(family) // 2
+    if broken is None:
+        checks.append(("family", "PASS", f"{len(family)} curves, sign split {half}/{half}"))
+    else:
+        mirror = broken[::-1]
+        detail = f"curve {broken} has {count[broken]} incidences, its mirror {mirror} has {count[mirror]}"
+        checks.append(("family", "FAIL", detail))
     try:
         per_curve = oracle_incidences(grid, family)
     except TooLargeError as exc:

@@ -5,7 +5,9 @@ squared distance; the classes partition all n*m pairs. The energy Q counts
 ordered pairs of distinct pairs inside a class, split into Q0 (both pairs
 use the same P2 point) and Q1 (different P2 points). All counts are exact
 integers. Because an axis point at a given distance from p has at most one
-mirror partner on the axis, Q0 never exceeds n*m, on any input whatsoever.
+mirror partner on the axis, no column of a config's table repeats a value
+more than twice, so Q0 never exceeds n*m there. An arbitrary matrix can
+break that property, and then Q0 can exceed n*m.
 
 check_chain verifies the Cauchy-Schwarz link between the distinct count x
 and the energy: x * Q >= (nm - x)^2 exactly, and when x <= nm/2 also

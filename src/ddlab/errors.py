@@ -52,10 +52,6 @@ class NotIncidentError(DdlabError):
     """Branch classification was asked about a point not on the curve."""
 
 
-class WrongSignError(DdlabError):
-    """Branch classification with the wrong gamma sign for the requested split."""
-
-
 class IdenticalCurvesError(DdlabError):
     """Pairwise intersection needs two distinct curves."""
 

@@ -243,17 +243,19 @@ def validate_constraints(cfg: Config, c: int | None = None) -> ValidationReport:
     Condition 1: no axis value t is shared by more than c points (p1 = t).
     Condition 2: no squared axis distance t is shared by more than c points
     (rho_sq = t); cylinders around the axis are keyed by rho_sq since rho is
-    nonnegative. c defaults to the config's own declared budget.
+    nonnegative. c defaults to the config's own declared budget. Points are
+    grouped by their int_view columns, which keep every equality.
     """
     bound = cfg.c if c is None else c
-    by_axis: dict[Fraction, list[int]] = {}
-    by_rho: dict[Fraction, list[int]] = {}
-    for idx, p in enumerate(cfg.p2_points):
-        by_axis.setdefault(p.coords[0], []).append(idx)
-        by_rho.setdefault(rho_sq(p), []).append(idx)
+    view = int_view(cfg)
+    by_axis: dict[int, list[int]] = {}
+    by_rho: dict[int, list[int]] = {}
+    for idx, (x, r) in enumerate(zip(view.firsts, view.rhos)):
+        by_axis.setdefault(x, []).append(idx)
+        by_rho.setdefault(r, []).append(idx)
     violations = tuple(
-        Violation(condition, value, tuple(idxs))
-        for condition, groups in (("p1", by_axis), ("rho_sq", by_rho))
+        Violation(condition, Fraction(value, unit), tuple(idxs))
+        for condition, groups, unit in (("p1", by_axis, view.scale), ("rho_sq", by_rho, view.scale**2))
         for value, idxs in groups.items()
         if len(idxs) > bound
     )

@@ -8,9 +8,10 @@ with alpha = -p1, beta = -q1 and gamma = rho_sq(p) - rho_sq(q). A grid
 point (s, t) built from two axis parameters lies on the curve exactly when
 sq_dist(s, p) = sq_dist(t, q), so the cross-column quadruples of the energy
 module and the incidences between the n^2 grid and the m(m-1) curves are
-two counts of the same set. gamma never vanishes for a config whose
-squared axis distances are pairwise distinct; a vanishing gamma would
-degenerate the curve into a pair of lines and is rejected.
+two counts of the same set. On a config valid at c = 1 no gamma vanishes
+(which would make the curve a line pair), and two pairs can share a curve
+only by sharing both axis coordinates, so the m(m-1) curves are distinct by
+construction. The mirror (i, j) -> (j, i) negates gamma: half have each sign.
 
 Curve building and incidence counting run on the config scaled into ints
 (exact.int_view), which scales (alpha, beta, gamma) by (L, L, L^2) and each
@@ -47,9 +48,8 @@ from .errors import (
     IdenticalCurvesError,
     IntersectionCheckError,
     NotIncidentError,
-    WrongSignError,
 )
-from .exact import Config, Rational, _frac, common_denominator, int_view, scaled_ints
+from .exact import Config, Rational, _frac, common_denominator, int_view, scaled_ints, validate_constraints
 
 
 @dataclass(frozen=True)
@@ -134,33 +134,11 @@ class HyperbolaFamily:
     def curves(self) -> tuple[Hyperbola, ...]:
         return tuple(self.iter_curves())
 
-    @property
-    def positive_count(self) -> int:
-        return sum(1 for ri in self.rhos for rj in self.rhos if ri > rj)
 
-    @property
-    def negative_count(self) -> int:
-        return sum(1 for ri in self.rhos for rj in self.rhos if ri < rj)
-
-
-def build_family(cfg: Config) -> HyperbolaFamily:
-    """Build every ordered-pair curve of a coordinate config.
-
-    Needs m >= 2 and pairwise distinct squared axis distances; a repeated
-    rho_sq surfaces as the degenerate curve of the offending pair. The
-    result always holds m(m-1) pairwise distinct curves, half of them with
-    gamma > 0, since swapping the pair flips gamma's sign. Both checks run
-    on the config's scaled int columns.
-    """
-    if not isinstance(cfg, Config):
-        raise TypeError("curve building needs a coordinate Config, not a matrix")
-    m = cfg.m
-    if m < 2:
-        raise ValueError("need at least two P2 points")
-    view = int_view(cfg)
-    firsts, rhos = view.firsts, view.rhos
+def _scan_pairs(firsts: tuple[int, ...], rhos: tuple[int, ...]) -> None:
+    """Raise for the first degenerate or repeated curve, scanning pairs i-major."""
     seen: dict[tuple[int, int, int], tuple[int, int]] = {}
-    for i, j in _ordered_pairs(m):
+    for i, j in _ordered_pairs(len(firsts)):
         gamma = rhos[i] - rhos[j]
         if gamma == 0:
             raise DegenerateHyperbolaError(i, j)
@@ -168,7 +146,23 @@ def build_family(cfg: Config) -> HyperbolaFamily:
         if triple in seen:
             raise DuplicateCurveError(f"pair ({i}, {j}) repeats the curve of pair {seen[triple]}")
         seen[triple] = (i, j)
-    return HyperbolaFamily(scale=view.scale, firsts=firsts, rhos=rhos)
+
+
+def build_family(cfg: Config) -> HyperbolaFamily:
+    """Build every ordered-pair curve of a coordinate config, m >= 2.
+
+    A config valid at c = 1 needs no check. Any other has its pairs scanned
+    on the int columns: the first pair with a repeated rho_sq or a repeated
+    curve raises, and a config with neither still yields its family.
+    """
+    if not isinstance(cfg, Config):
+        raise TypeError("curve building needs a coordinate Config, not a matrix")
+    if cfg.m < 2:
+        raise ValueError("need at least two P2 points")
+    view = int_view(cfg)
+    if not validate_constraints(cfg, c=1).ok:
+        _scan_pairs(view.firsts, view.rhos)
+    return HyperbolaFamily(scale=view.scale, firsts=view.firsts, rhos=view.rhos)
 
 
 @dataclass(frozen=True)
@@ -197,8 +191,7 @@ def incidences(grid: ParamGrid, family: HyperbolaFamily) -> IncidenceReport:
     grid points on curve (i, j). That is O(n m + I) work for I incidences.
 
     Each shared value counts for (i, j) and for (j, i), so per_curve is
-    symmetric under the mirror (i, j) -> (j, i), which negates gamma: half of
-    the total lies on gamma > 0 curves and half on gamma < 0 ones.
+    mirror-symmetric and half of the total lies on each sign of gamma.
     """
     scale = math.lcm(family.scale, common_denominator(grid.params))
     factor = scale // family.scale
@@ -297,29 +290,19 @@ class Branch(enum.Enum):
 
 
 def classify_branch(s: Rational | str, t: Rational | str, h: Hyperbola) -> Branch:
-    """Which branch of a gamma > 0 curve carries the incident point (s, t).
+    """Which branch of curve h carries the incident point (s, t).
 
     For gamma > 0 the curve is two graphs over the s-axis: TOP where
-    t > -beta, BOTTOM where t < -beta; t = -beta cannot host an incidence.
-    Raises for points off the curve and for gamma < 0 (see classify_side).
+    t > -beta, BOTTOM where t < -beta. For gamma < 0 it is two graphs over
+    the t-axis: RIGHT where s > -alpha, LEFT where s < -alpha. Neither
+    dividing line can host an incidence. Raises for points off the curve.
     """
     sv = _frac(s)
     tv = _frac(t)
     if h.evaluate(sv, tv) != 0:
         raise NotIncidentError(f"({sv}, {tv}) is not on the curve")
-    if h.gamma < 0:
-        raise WrongSignError("gamma < 0 curves split left/right, use classify_side")
-    return Branch.TOP if tv > -h.beta else Branch.BOTTOM
-
-
-def classify_side(s: Rational | str, t: Rational | str, h: Hyperbola) -> Branch:
-    """Symmetric split for gamma < 0 curves: LEFT/RIGHT of s = -alpha."""
-    sv = _frac(s)
-    tv = _frac(t)
-    if h.evaluate(sv, tv) != 0:
-        raise NotIncidentError(f"({sv}, {tv}) is not on the curve")
     if h.gamma > 0:
-        raise WrongSignError("gamma > 0 curves split top/bottom, use classify_branch")
+        return Branch.TOP if tv > -h.beta else Branch.BOTTOM
     return Branch.RIGHT if sv > -h.alpha else Branch.LEFT
 
 

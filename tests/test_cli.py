@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -175,6 +176,35 @@ class TestVerify:
         assert f"{modes} incidence-modes: hash 4 vs naive {sum(per_curve)}\n" in out
         assert f"{oracle} incidence-oracle: oracle {sum(per_curve)} vs fast 4\n" in out
         assert "PASS bijection: Q1 = 4 vs incidences = 4\n" in out
+
+    def test_asymmetric_incidences_fail_family(self, tmp_path, capsys, monkeypatch):
+        # the worked example again: moving one incidence from curve (0, 1) to
+        # its mirror keeps the total but breaks the mirror symmetry
+        path = tmp_path / "cfg.csv"
+        path.write_text("k=2,c=1\nP1,0\nP1,2\nP2,0,1\nP2,1,2\n", encoding="utf-8")
+        real = ddlab.cli.incidences
+
+        def injected(grid, family):
+            rep = real(grid, family)
+            assert rep.per_curve == (2, 2)
+            return dataclasses.replace(rep, per_curve=(1, 3))
+
+        monkeypatch.setattr(ddlab.cli, "incidences", injected)
+        code, out = run_cli("verify", "--input", str(path), capsys=capsys)
+        assert code == 1
+        assert "FAIL family: curve (0, 1) has 1 incidences, its mirror (1, 0) has 3\n" in out
+        assert "PASS bijection: Q1 = 4 vs incidences = 4\n" in out
+
+    def test_matrix_off_a_line_fails_constraints(self, tmp_path, capsys):
+        # a column with a value three times cannot be distances from a line,
+        # so Q0 <= nm need not hold: reported as an input property
+        path = tmp_path / "m.csv"
+        path.write_text("n=3,m=1\n1\n1\n1\n", encoding="utf-8")
+        code, out = run_cli("verify", "--input", str(path), capsys=capsys)
+        assert code == 1
+        assert "FAIL constraints: 1 column(s) repeat a value more than twice\n" in out
+        assert "SKIP q0-bound: a column repeats a value more than twice\n" in out
+        assert out.count("FAIL") == 1
 
     def test_intersection_self_check_fails(self, tmp_path, capsys, monkeypatch):
         # the radical-line fixture has sampled pairs with rational crossings,

@@ -6,7 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import ddlab.reduction
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ddlab import (
@@ -16,14 +17,13 @@ from ddlab import (
     DegenerateHyperbolaError,
     DuplicateCurveError,
     Hyperbola,
+    HyperbolaFamily,
     IdenticalCurvesError,
     NotIncidentError,
     ParamGrid,
     Point,
-    WrongSignError,
     build_family,
     classify_branch,
-    classify_side,
     energy_report,
     gen_orthogonal_extremal,
     gen_random,
@@ -32,8 +32,10 @@ from ddlab import (
     oracle_incidences,
     rho_sq,
     sq_dist,
+    validate_constraints,
     verify_bijection,
 )
+from ddlab.exact import int_view
 from conftest import RADICAL_LINE, fractional_config, small_random_config
 
 WORKED = Config.of(2, 1, [0, 2], [(0, 1), (1, 2)])
@@ -68,7 +70,7 @@ class TestBuildFamily:
             assert len(family.curves) == m * (m - 1)
             triples = {(h.alpha, h.beta, h.gamma) for h in family.curves}
             assert len(triples) == m * (m - 1)
-            assert family.positive_count == family.negative_count == m * (m - 1) // 2
+            assert sum(1 for h in family.curves if h.gamma > 0) == m * (m - 1) // 2
             by_src = {h.src: h for h in family.curves}
             for (i, j), h in by_src.items():
                 assert by_src[(j, i)].gamma == -h.gamma
@@ -95,6 +97,64 @@ class TestBuildFamily:
         cfg = Config.of(2, 2, [0], [(0, 1), (5, 2), (5, -2)])
         with pytest.raises(DuplicateCurveError, match=r"\(0, 2\) repeats the curve of pair \(0, 1"):
             build_family(cfg)
+
+    def test_c1_configs_skip_the_scan(self, monkeypatch):
+        def scan(firsts, rhos):
+            pytest.fail("a c = 1 config entered the pair scan")
+
+        monkeypatch.setattr(ddlab.reduction, "_scan_pairs", scan)
+        configs = [WORKED, RADICAL_LINE, fractional_config(4, n=5, m=6, k=3)]
+        configs += [small_random_config(seed) for seed in range(20)]
+        configs.append(gen_random(n=400, m=400, k=2, seed=7, coord_range=1600))
+        for cfg in configs:
+            if cfg.m < 2:
+                continue
+            family = build_family(cfg)
+            assert len(family) == cfg.m * (cfg.m - 1)
+            assert len(set(family.firsts)) == len(set(family.rhos)) == cfg.m
+
+
+def _scanned_family(cfg: Config) -> HyperbolaFamily:
+    """build_family as it was before the c = 1 exit: every pair, i-major."""
+    view = int_view(cfg)
+    firsts, rhos = view.firsts, view.rhos
+    seen = {}
+    for i in range(cfg.m):
+        for j in range(cfg.m):
+            if i == j:
+                continue
+            gamma = rhos[i] - rhos[j]
+            if gamma == 0:
+                raise DegenerateHyperbolaError(i, j)
+            triple = (firsts[i], firsts[j], gamma)
+            if triple in seen:
+                raise DuplicateCurveError(f"pair ({i}, {j}) repeats the curve of pair {seen[triple]}")
+            seen[triple] = (i, j)
+    return HyperbolaFamily(scale=view.scale, firsts=firsts, rhos=rhos)
+
+
+@st.composite
+def configs_off_c1(draw):
+    """Small configs that repeat an axis coordinate or a squared axis distance."""
+    k = draw(st.integers(2, 4))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=2, max_size=7))
+    scale = Fraction(1, draw(st.sampled_from((1, 2, 3))))
+    cfg = Config.of(k, 3, [0, 1], [tuple(v * scale for v in p) for p in points])
+    assume(not validate_constraints(cfg, c=1).ok)
+    return cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs_off_c1())
+def test_build_family_matches_the_scan_off_c1(cfg):
+    try:
+        expected = _scanned_family(cfg)
+    except (DegenerateHyperbolaError, DuplicateCurveError) as exc:
+        with pytest.raises(type(exc)) as got:
+            build_family(cfg)
+        assert str(got.value) == str(exc)
+    else:
+        assert build_family(cfg) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -189,21 +249,13 @@ class TestBranches:
         with pytest.raises(NotIncidentError):
             classify_branch(0, 0, h)
 
-    def test_wrong_sign_both_ways(self):
-        pos = Hyperbola(alpha=Fraction(0), beta=Fraction(-1), gamma=Fraction(3), src=(0, 1))
+    def test_side_split(self):
         neg = Hyperbola(alpha=Fraction(-1), beta=Fraction(0), gamma=Fraction(-3), src=(1, 0))
         # (3, 1) lies on neg: (3-1)^2 - 1 - 3 = 0
         assert neg.contains(3, 1)
-        with pytest.raises(WrongSignError):
-            classify_branch(3, 1, neg)
-        with pytest.raises(WrongSignError):
-            classify_side(1, 3, pos)
-
-    def test_side_split(self):
-        neg = Hyperbola(alpha=Fraction(-1), beta=Fraction(0), gamma=Fraction(-3), src=(1, 0))
-        assert classify_side(3, 1, neg) is Branch.RIGHT
+        assert classify_branch(3, 1, neg) is Branch.RIGHT
         assert neg.contains(-1, 1)
-        assert classify_side(-1, 1, neg) is Branch.LEFT
+        assert classify_branch(-1, 1, neg) is Branch.LEFT
 
     def test_every_incidence_classifies(self):
         for seed in (3, 7):
@@ -222,7 +274,7 @@ class TestBranches:
                             assert classify_branch(s, t, h) in (Branch.TOP, Branch.BOTTOM)
                         else:
                             assert s != -h.alpha
-                            assert classify_side(s, t, h) in (Branch.LEFT, Branch.RIGHT)
+                            assert classify_branch(s, t, h) in (Branch.LEFT, Branch.RIGHT)
             assert seen == energy_report(cfg).energy_cross
 
 

@@ -7,7 +7,9 @@ fractional coordinates, a 50x50 cylinder config past the quadruple oracle's
 guard (the SKIP path), the radical-line fixture and an orthogonal matrix.
 incidence-guard (`ddlab gen --n 100 --m 40 --seed 1`, recorded before the
 quadratic incidence scan was deleted) is reducible but past the incidence
-oracle's guard, so both incidence lines take their SKIP path.
+oracle's guard, so both incidence lines take their SKIP path. The matrix
+recordings were renewed when `constraints` began checking a matrix's
+columns (SKIP became PASS); every other line is unchanged.
 """
 
 from __future__ import annotations
