@@ -23,10 +23,13 @@ one Fraction key per class at the end.
 
 energy_report has two kernels. The stdlib kernel streams one column at a
 time through Counters; it runs on every input and is the reference. On
-inputs of at least NUMPY_MIN_PAIRS pairs the numpy kernel sorts an int64
-table instead, provided numpy can be imported and a bound computed up
-front in Python ints keeps every intermediate value below 2^63; otherwise
-energy_report falls back to the stdlib kernel. numpy is imported only
+inputs of at least NUMPY_MIN_PAIRS pairs the numpy kernel sorts a table
+instead, provided numpy can be imported and a bound computed up front in
+Python ints keeps every intermediate value below 2^63; otherwise
+energy_report falls back to the stdlib kernel. The table is int32 when
+that bound is below 2^31 and int64 otherwise. Beside it the kernel holds
+one bool mask of the same shape and reads it a block at a time, so its
+working set is about itemsize + 1 bytes per pair. numpy is imported only
 there, so smaller inputs never pay for loading it.
 """
 
@@ -50,7 +53,11 @@ Source = Union[Config, SqDistMatrix]
 # Python 3.11.7, numpy 2.4.6). Inputs of 400x400 (160,000 pairs) stay on
 # the stdlib kernel.
 NUMPY_MIN_PAIRS = 1 << 18
+_INT32_LIMIT = 1 << 31
 _INT64_LIMIT = 1 << 63
+# Entries of the run-start mask that _run_length_counts reads per step; its
+# scratch arrays stay at a few hundred kB whatever the table size.
+_RUN_BLOCK = 1 << 16
 
 
 def _scaled_columns(src: Source) -> Iterator[list[int]]:
@@ -194,13 +201,27 @@ def _stdlib_report(src: Source) -> EnergyReport:
     return _report(src, len(sizes), q0, Counter(sizes.values()).items())
 
 
-def _numpy_report(src: Source) -> EnergyReport | None:
-    """The int64 kernel: sorted runs of an (m, n) table of scaled squared distances.
+def _table_dtype(bound: int) -> str | None:
+    """The narrowest numpy int dtype holding every value up to bound, or
+    None when not even int64 does."""
+    if bound < _INT32_LIMIT:
+        return "int32"
+    if bound < _INT64_LIMIT:
+        return "int64"
+    return None
 
-    Returns None, before importing anything, when the bound on the largest
-    intermediate value (|a - x| squared plus rho for a config, the largest
-    scaled entry for a matrix) is not below 2^63, and None when numpy
-    cannot be imported.
+
+def _numpy_report(src: Source) -> EnergyReport | None:
+    """The numpy kernel: sorted runs of an (m, n) table of scaled squared distances.
+
+    A bound on the largest intermediate value (|a - x| squared plus rho for
+    a config, the largest scaled entry for a matrix) covers every
+    difference, square and sum, and picks the table's dtype: int32 below
+    2^31, int64 below 2^63 (_table_dtype). Returns None, before importing
+    anything, when the bound is not below 2^63, and None when numpy cannot
+    be imported. Besides the table the kernel holds one bool run-start mask
+    of its size; the runs are counted a block at a time, so nothing else of
+    size n*m is allocated.
     """
     if isinstance(src, SqDistMatrix):
         scale = common_denominator(v for row in src.entries for v in row)
@@ -209,7 +230,8 @@ def _numpy_report(src: Source) -> EnergyReport | None:
     else:
         view = int_view(src)
         bound = (max(map(abs, view.params)) + max(map(abs, view.firsts))) ** 2 + max(view.rhos)
-    if bound >= _INT64_LIMIT:
+    dtype = _table_dtype(bound)
+    if dtype is None:
         return None
     try:
         import numpy as np
@@ -217,44 +239,53 @@ def _numpy_report(src: Source) -> EnergyReport | None:
         return None
 
     if isinstance(src, SqDistMatrix):
-        table = np.array(cols, dtype=np.int64)
+        table = np.array(cols, dtype=dtype)
         del cols
     else:
         table = np.subtract.outer(
-            np.array(view.firsts, dtype=np.int64), np.array(view.params, dtype=np.int64)
+            np.array(view.firsts, dtype=dtype), np.array(view.params, dtype=dtype)
         )
         np.multiply(table, table, out=table)
-        table += np.array(view.rhos, dtype=np.int64)[:, None]
+        table += np.array(view.rhos, dtype=dtype)[:, None]
     flat = table.reshape(-1)
     starts = np.empty(flat.size, dtype=bool)
     table.sort(axis=1)
-    # the per-row run lengths are dropped before the second pass allocates its own
-    q0 = sum(c * (c - 1) * k for c, k in _value_counts(np, _run_lengths(np, flat, starts, src.n)))
+    q0 = sum(c * (c - 1) * k for c, k in _run_length_counts(np, flat, starts, src.n))
     flat.sort()
-    runs = _run_lengths(np, flat, starts, flat.size)
-    return _report(src, len(runs), q0, _value_counts(np, runs))
+    hist = _run_length_counts(np, flat, starts, flat.size)
+    return _report(src, sum(k for _, k in hist), q0, hist)
 
 
-def _run_lengths(np, flat, starts, row: int):
-    """Lengths of the runs of equal values in each sorted row of `row` entries.
+def _run_length_counts(np, flat, starts, row: int) -> list[tuple[int, int]]:
+    """(run length, how many runs) for the runs of equal values in each
+    sorted row of `row` entries of flat, as Python ints.
 
-    starts is a scratch bool buffer of flat's size; a run never crosses a
-    row boundary.
+    starts is a scratch bool buffer of flat's size; it marks where runs
+    begin (a run never crosses a row boundary) and is then read _RUN_BLOCK
+    entries at a time. Inside a block the gaps between run starts are
+    shorter than the block and go to np.bincount; the gap back to an earlier
+    block's last start, and the final run, can be as long as flat and are
+    counted one by one.
     """
     starts[0] = True
     np.not_equal(flat[1:], flat[:-1], out=starts[1:])
     starts[::row] = True
-    first = np.flatnonzero(starts)
-    runs = np.empty_like(first)  # np.diff(np.append(...)) would hold two more copies
-    np.subtract(first[1:], first[:-1], out=runs[:-1])
-    runs[-1] = flat.size - first[-1]
-    return runs
-
-
-def _value_counts(np, values) -> list[tuple[int, int]]:
-    """(value, how many times it occurs) for an int array, as Python ints."""
-    uniq, counts = np.unique(values, return_counts=True)
-    return list(zip(uniq.tolist(), counts.tolist()))
+    short = np.zeros(_RUN_BLOCK, dtype=np.int64)
+    long: Counter = Counter()
+    prev = 0
+    for lo in range(0, flat.size, _RUN_BLOCK):
+        first = np.flatnonzero(starts[lo : lo + _RUN_BLOCK])
+        if first.size:
+            first += lo
+            long[int(first[0]) - prev] += 1
+            counts = np.bincount(np.diff(first))
+            short[: counts.size] += counts
+            prev = int(first[-1])
+    long[flat.size - prev] += 1
+    del long[0]  # the first start, at index 0, ends no run
+    for length in np.flatnonzero(short).tolist():
+        long[length] += int(short[length])
+    return list(long.items())
 
 
 def _report(src: Source, distinct: int, q0: int, hist) -> EnergyReport:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import json
 import math
@@ -10,6 +11,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,7 +34,7 @@ from ddlab import (
     sq_dist,
     translate_along_axis,
 )
-from ddlab.energy import NUMPY_MIN_PAIRS, _numpy_report, _stdlib_report
+from ddlab.energy import NUMPY_MIN_PAIRS, _numpy_report, _stdlib_report, _table_dtype
 from ddlab.exact import common_denominator, int_view
 from conftest import clustered_config, fractional_config, small_random_config
 
@@ -213,6 +215,7 @@ class TestInvariance:
 
 # The numpy kernel against the stdlib kernel, which is its reference.
 
+INT32_LIMIT = 1 << 31
 INT64_LIMIT = 1 << 63
 
 
@@ -235,42 +238,109 @@ def kernel_sources(draw):
     return Config.of(k=k, c=len(points), p1_params=params, p2_points=points)
 
 
-def near_int64_limit(src, above: bool, slack: int):
+def near_limit(src, limit: int, above: bool, slack: int):
     """src with one far value added: the numpy kernel's bound on the largest
-    intermediate value lands just below 2^63, or at or just above it."""
+    intermediate value lands just below limit, or at or just above it."""
     if isinstance(src, SqDistMatrix):
         scale = common_denominator(v for row in src.entries for v in row)
-        far = Fraction(INT64_LIMIT + slack if above else INT64_LIMIT - 1 - slack, scale)
+        far = Fraction(limit + slack if above else limit - 1 - slack, scale)
         # a whole row of the far value, so that a class sits at the top of the range
         return SqDistMatrix(src.n + 1, src.m, src.entries + ((far,) * src.m,), "file")
-    # one far point at scaled squared axis distance 2^62, half the budget, and
-    # on the far side of the largest axis parameter: (|top| + s)^2 + 2^62 is
-    # both the bound and the largest table entry
+    # one far point at scaled squared axis distance limit / 2, half the
+    # budget, and on the far side of the largest axis parameter:
+    # (|top| + s)^2 + limit / 2 is both the bound and the largest table entry
     view = int_view(src)
     top = max(view.params, key=abs)
-    rho = 1 << 62
-    s = math.isqrt(INT64_LIMIT - 1 - rho) - abs(top) - slack + (slack + 1 if above else 0)
+    rho = limit >> 1
+    s = math.isqrt(limit - 1 - rho) - abs(top) - slack + (slack + 1 if above else 0)
     x = Fraction(-s if top >= 0 else s, view.scale)
     far = (x, Fraction(math.isqrt(rho), view.scale)) + (Fraction(0),) * (src.k - 2)
     return Config(src.k, src.c, src.p1_params, src.p2_points + (Point(far),))
 
 
+@contextlib.contextmanager
+def dtype_choices():
+    """The dtypes that _table_dtype picks for the numpy kernel inside the block."""
+    chosen = []
+
+    def spy(bound):
+        chosen.append(_table_dtype(bound))
+        return chosen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy_mod, "_table_dtype", spy)
+        yield chosen
+
+
+def test_table_dtype_boundaries():
+    assert _table_dtype(0) == _table_dtype(INT32_LIMIT - 1) == "int32"
+    assert _table_dtype(INT32_LIMIT) == _table_dtype(INT64_LIMIT - 1) == "int64"
+    assert _table_dtype(INT64_LIMIT) is None
+
+
+# the dtype a bound just below (False) or at or above (True) each limit takes
+NEAR_DTYPE = {
+    (INT32_LIMIT, False): "int32",
+    (INT32_LIMIT, True): "int64",
+    (INT64_LIMIT, False): "int64",
+    (INT64_LIMIT, True): None,
+}
+
+
 @settings(max_examples=150, deadline=None)
-@given(kernel_sources(), st.sampled_from((None, False, True)), st.integers(0, 3))
-def test_numpy_kernel_matches_stdlib(src, near, slack):
+@given(
+    kernel_sources(),
+    st.sampled_from((INT32_LIMIT, INT64_LIMIT)),
+    st.sampled_from((None, False, True)),
+    st.integers(0, 3),
+)
+def test_numpy_kernel_matches_stdlib(src, limit, near, slack):
     pytest.importorskip("numpy")
     if near is not None:
-        src = near_int64_limit(src, above=near, slack=slack)
+        src = near_limit(src, limit, above=near, slack=slack)
     ref = _stdlib_report(src)
-    if near:
-        assert _numpy_report(src) is None
-    else:
-        assert _numpy_report(src) == ref
+    with dtype_choices() as chosen:
+        rep = _numpy_report(src)
+    dtype = "int32" if near is None else NEAR_DTYPE[limit, near]
+    assert chosen == [dtype]
+    assert rep == (None if dtype is None else ref)
     assert ref == energy(distance_classes(src))
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+@settings(max_examples=60, deadline=None)
+@given(kernel_sources())
+def test_numpy_kernel_across_run_blocks(block, src):
+    # blocks smaller than a row: runs cross block edges and some blocks
+    # hold no run start
+    pytest.importorskip("numpy")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy_mod, "_RUN_BLOCK", block)
+        rep = _numpy_report(src)
+    assert rep == _stdlib_report(src) == energy(distance_classes(src))
+
+
+@pytest.mark.parametrize("coord_range, dtype", [(9600, "int32"), (1 << 20, "int64")])
+def test_numpy_kernel_working_set(coord_range, dtype):
+    # the table plus a bool mask of its size, with room for the per-block
+    # scratch: at most 1.5 * (itemsize + 1) traced bytes per pair
+    np = pytest.importorskip("numpy")  # loaded before tracing starts
+    cfg = gen_random(n=1200, m=1200, k=2, seed=7, coord_range=coord_range)
+    with dtype_choices() as chosen:
+        tracemalloc.start()
+        try:
+            rep = _numpy_report(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert chosen == [dtype]
+    assert rep is not None
+    pairs = cfg.n * cfg.m
+    assert peak <= 1.5 * (np.dtype(dtype).itemsize + 1) * pairs, f"{peak / pairs:.1f} B/pair"
+
+
 def test_over_the_limit_takes_the_stdlib_path():
-    cfg = near_int64_limit(gen_cylinder_extremal(512, 511), above=True, slack=0)
+    cfg = near_limit(gen_cylinder_extremal(512, 511), INT64_LIMIT, above=True, slack=0)
     assert cfg.n * cfg.m == NUMPY_MIN_PAIRS
     assert _numpy_report(cfg) is None
     assert energy_report(cfg) == _stdlib_report(cfg)
