@@ -6,7 +6,8 @@ identity that applies and report pass/fail), bound (float bound report),
 sweep (deterministic CSV over an (n, m, seed) grid).
 
 Exit codes: 0 when everything passed, 1 when an exact identity check
-failed, 2 on input errors, 3 on an internal error (any other exception).
+failed, 2 on input errors, 3 on an internal error (any other exception,
+or a verify check that raised and was reported as ERROR).
 """
 
 from __future__ import annotations
@@ -162,135 +163,158 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
+def _once(compute):
+    """A thunk for compute(): it runs on the first call, and every call
+    returns its result or raises its exception again."""
+    memo: list = []
+
+    def get():
+        if not memo:
+            try:
+                memo.append((compute(), None))
+            except Exception as exc:
+                memo.append((None, exc))
+        result, exc = memo[0]
+        if exc is not None:
+            raise exc
+        return result
+
+    return get
+
+
 def _verify_checks(src) -> list[tuple[str, str, str]]:
-    """Each check is (name, status, detail) with status PASS/FAIL/SKIP."""
-    checks: list[tuple[str, str, str]] = []
+    """Each check is (name, status, detail) with status PASS/FAIL/SKIP/ERROR.
+
+    Every check runs in its own guard: one that raises is reported as
+    ERROR with the exception, and the later checks still run. Results that
+    several checks share are computed once; a check that needs one that
+    raised reports its own ERROR.
+    """
     n, m = src.n, src.m
-
-    line_like = True  # every column repeats a value at most twice, as distances from a line do
-    if isinstance(src, Config):
-        report = validate_constraints(src)
-        if report.ok:
-            checks.append(("constraints", "PASS", f"multiplicities within c={src.c}"))
-        else:
-            checks.append(("constraints", "FAIL", f"{len(report.violations)} violation(s) at c={src.c}"))
-    else:
-        crowded = sum(1 for col in zip(*src.entries) if max(Counter(col).values()) > 2)
-        line_like = crowded == 0
-        if line_like:
-            checks.append(("constraints", "PASS", "no column repeats a value more than twice"))
-        else:
-            checks.append(("constraints", "FAIL", f"{crowded} column(s) repeat a value more than twice"))
-
-    rep = energy_report(src)
-    slow = energy(distance_classes(src))
-    if rep == slow:
-        checks.append(("class-grouping", "PASS", "streamed and materialized grouping agree"))
-    else:
-        checks.append(("class-grouping", "FAIL", "streamed and materialized grouping disagree"))
-
-    try:
-        q, q0, q1 = oracle_quadruples(src)
-        ok = (q, q0, q1) == (rep.energy, rep.energy_same_point, rep.energy_cross)
-        checks.append(
-            (
-                "energy-oracle",
-                "PASS" if ok else "FAIL",
-                f"oracle ({q}, {q0}, {q1}) vs fast ({rep.energy}, {rep.energy_same_point}, {rep.energy_cross})",
-            )
-        )
-    except TooLargeError as exc:
-        checks.append(("energy-oracle", "SKIP", str(exc)))
-
-    chain = check_chain(rep, n, m)
-    chain_ok = chain.cauchy_ok and chain.lower_ok is not False
-    checks.append(
-        (
-            "chain",
-            "PASS" if chain_ok else "FAIL",
-            f"x*Q - (nm-x)^2 = {chain.slack}, x<=nm/2: {chain.x_le_half}",
-        )
+    # columns that repeat a value more than twice, which distances from a line never do
+    crowded = _once(
+        lambda: 0 if isinstance(src, Config)
+        else sum(1 for col in zip(*src.scaled) if max(Counter(col).values()) > 2)
     )
-    if line_like:
-        q0_ok = rep.energy_same_point <= n * m
-        checks.append(
-            ("q0-bound", "PASS" if q0_ok else "FAIL", f"Q0 = {rep.energy_same_point} vs nm = {n * m}")
-        )
-    else:
-        checks.append(("q0-bound", "SKIP", "a column repeats a value more than twice"))
-
-    reducible = (
-        isinstance(src, Config) and m >= 2 and validate_constraints(src, c=1).ok
+    rep = _once(lambda: energy_report(src))
+    reducible = _once(
+        lambda: isinstance(src, Config) and m >= 2 and validate_constraints(src, c=1).ok
     )
-    if not reducible:
-        why = "needs a coordinate config, m >= 2, valid at c = 1"
-        for name in ("family", "incidence-modes", "incidence-oracle", "bijection", "intersections"):
-            checks.append((name, "SKIP", why))
-        return checks
+    family = _once(lambda: build_family(src))
+    grid = _once(lambda: ParamGrid.from_config(src))
+    fast = _once(lambda: incidences(grid(), family()))
+    per_curve = _once(lambda: oracle_incidences(grid(), family()))
 
-    family = build_family(src)
-    grid = ParamGrid.from_config(src)
-    fast = incidences(grid, family)
-    # the per-sign totals are total // 2 because curve (i, j) and its mirror
-    # (j, i), of opposite gamma, carry the same incidences: check every pair
-    count = dict(zip(_ordered_pairs(m), fast.per_curve))
-    broken = next(((i, j) for (i, j), c in count.items() if c != count[(j, i)]), None)
-    half = len(family) // 2
-    if broken is None:
-        checks.append(("family", "PASS", f"{len(family)} curves, sign split {half}/{half}"))
-    else:
+    def constraints():
+        if isinstance(src, Config):
+            report = validate_constraints(src)
+            if report.ok:
+                return "PASS", f"multiplicities within c={src.c}"
+            return "FAIL", f"{len(report.violations)} violation(s) at c={src.c}"
+        if crowded():
+            return "FAIL", f"{crowded()} column(s) repeat a value more than twice"
+        return "PASS", "no column repeats a value more than twice"
+
+    def class_grouping():
+        if rep() == energy(distance_classes(src)):
+            return "PASS", "streamed and materialized grouping agree"
+        return "FAIL", "streamed and materialized grouping disagree"
+
+    def energy_oracle():
+        try:
+            q, q0, q1 = oracle_quadruples(src)
+        except TooLargeError as exc:
+            return "SKIP", str(exc)
+        fast_q = (rep().energy, rep().energy_same_point, rep().energy_cross)
+        return "PASS" if (q, q0, q1) == fast_q else "FAIL", f"oracle ({q}, {q0}, {q1}) vs fast {fast_q}"
+
+    def chain():
+        report = check_chain(rep(), n, m)
+        ok = report.cauchy_ok and report.lower_ok is not False
+        return "PASS" if ok else "FAIL", f"x*Q - (nm-x)^2 = {report.slack}, x<=nm/2: {report.x_le_half}"
+
+    def q0_bound():
+        if crowded():
+            return "SKIP", "a column repeats a value more than twice"
+        q0 = rep().energy_same_point
+        return "PASS" if q0 <= n * m else "FAIL", f"Q0 = {q0} vs nm = {n * m}"
+
+    def family_check():
+        # the per-sign totals are total // 2 because curve (i, j) and its mirror
+        # (j, i), of opposite gamma, carry the same incidences: check every pair
+        count = dict(zip(_ordered_pairs(m), fast().per_curve))
+        broken = next(((i, j) for (i, j), c in count.items() if c != count[(j, i)]), None)
+        if broken is None:
+            half = len(family()) // 2
+            return "PASS", f"{len(family())} curves, sign split {half}/{half}"
         mirror = broken[::-1]
-        detail = f"curve {broken} has {count[broken]} incidences, its mirror {mirror} has {count[mirror]}"
-        checks.append(("family", "FAIL", detail))
-    try:
-        per_curve = oracle_incidences(grid, family)
-    except TooLargeError as exc:
-        work = grid.n ** 2 * len(family)
-        checks.append(("incidence-modes", "SKIP", f"n^2*curves = {work} too large"))
-        checks.append(("incidence-oracle", "SKIP", str(exc)))
-    else:
+        return "FAIL", f"curve {broken} has {count[broken]} incidences, its mirror {mirror} has {count[mirror]}"
+
+    def incidence_modes():
         # the oracle is the naive evaluation of every curve at every grid point
-        oracle_total = sum(per_curve)
-        checks.append(
-            (
-                "incidence-modes",
-                "PASS" if fast.per_curve == per_curve else "FAIL",
-                f"hash {fast.total} vs naive {oracle_total}",
-            )
-        )
-        checks.append(
-            (
-                "incidence-oracle",
-                "PASS" if oracle_total == fast.total else "FAIL",
-                f"oracle {oracle_total} vs fast {fast.total}",
-            )
-        )
-    bij_ok = fast.total == rep.energy_cross
-    checks.append(
-        (
-            "bijection",
-            "PASS" if bij_ok else "FAIL",
-            f"Q1 = {rep.energy_cross} vs incidences = {fast.total}",
-        )
-    )
-    pairs = list(combinations(islice(family.iter_curves(), 40), 2))
-    try:
-        for h1, h2 in pairs:  # each call checks its points on both curves
-            intersection_count(h1, h2)
-    except IntersectionCheckError as exc:
-        checks.append(("intersections", "FAIL", str(exc)))
-    else:
-        checks.append(("intersections", "PASS", f"{len(pairs)} curve pairs, all meeting at most twice"))
+        try:
+            oracle = per_curve()
+        except TooLargeError:
+            return "SKIP", f"n^2*curves = {grid().n ** 2 * len(family())} too large"
+        status = "PASS" if fast().per_curve == oracle else "FAIL"
+        return status, f"hash {fast().total} vs naive {sum(oracle)}"
+
+    def incidence_oracle():
+        try:
+            total = sum(per_curve())
+        except TooLargeError as exc:
+            return "SKIP", str(exc)
+        return "PASS" if total == fast().total else "FAIL", f"oracle {total} vs fast {fast().total}"
+
+    def bijection():
+        q1, total = rep().energy_cross, fast().total
+        return "PASS" if total == q1 else "FAIL", f"Q1 = {q1} vs incidences = {total}"
+
+    def intersections():
+        pairs = list(combinations(islice(family().iter_curves(), 40), 2))
+        try:
+            for h1, h2 in pairs:  # each call checks its points on both curves
+                intersection_count(h1, h2)
+        except IntersectionCheckError as exc:
+            return "FAIL", str(exc)
+        return "PASS", f"{len(pairs)} curve pairs, all meeting at most twice"
+
+    def needs_reduction(check):
+        def run():
+            if not reducible():
+                return "SKIP", "needs a coordinate config, m >= 2, valid at c = 1"
+            return check()
+
+        return run
+
+    checks: list[tuple[str, str, str]] = []
+    for name, check in (
+        ("constraints", constraints),
+        ("class-grouping", class_grouping),
+        ("energy-oracle", energy_oracle),
+        ("chain", chain),
+        ("q0-bound", q0_bound),
+        ("family", needs_reduction(family_check)),
+        ("incidence-modes", needs_reduction(incidence_modes)),
+        ("incidence-oracle", needs_reduction(incidence_oracle)),
+        ("bijection", needs_reduction(bijection)),
+        ("intersections", needs_reduction(intersections)),
+    ):
+        try:
+            status, detail = check()
+        except Exception as exc:  # a bug in this check or in what it needs
+            status, detail = "ERROR", f"{type(exc).__name__}: {exc}"
+        checks.append((name, status, detail))
     return checks
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     src = dio.load_source(args.input)
     checks = _verify_checks(src)
-    failed = any(status == "FAIL" for _, status, _ in checks)
+    statuses = {status for _, status, _ in checks}
     if args.json:
         payload = {
-            "ok": not failed,
+            "ok": statuses <= {"PASS", "SKIP"},
             "checks": [
                 {"name": name, "status": status, "detail": detail}
                 for name, status, detail in checks
@@ -300,7 +324,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         for name, status, detail in checks:
             sys.stdout.write(f"{status} {name}: {detail}\n")
-    return 1 if failed else 0
+    if "ERROR" in statuses:
+        return 3
+    return 1 if "FAIL" in statuses else 0
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:

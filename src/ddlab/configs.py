@@ -11,14 +11,23 @@ The extremal generators build the two classical few-distance families: all
 points on one cylinder around the axis (max(n, m) distinct squared
 distances) and the analytic matrix with entry i + j (n + m - 1 distinct
 values). They witness that the multiplicity conditions cannot be dropped.
+
+SqDistMatrix holds a table of squared distances in canonical int form, a
+scale and an int table over it, so its producers (the file reader,
+from_config and the orthogonal generator) and the energy kernels never walk
+a Fraction per entry.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
+from typing import Iterable
 
 from .errors import (
     EmptyResultError,
@@ -26,7 +35,7 @@ from .errors import (
     InvalidCountError,
     InvalidRangeError,
 )
-from .exact import Config, Point, Rational, _frac, int_view, rho_sq
+from .exact import Config, Point, Rational, _frac, common_denominator, int_view, rho_sq, scaled_ints
 
 
 class Side(enum.Enum):
@@ -125,46 +134,69 @@ def prune_general(cfg: Config) -> PrunedConfig:
 class SqDistMatrix:
     """An n x m table of exact squared distances, with its construction noted.
 
-    provenance is "config" for tables computed from a coordinate Config,
-    the construction name for analytic families, and "file" after loading.
+    The table is kept in canonical int form: entry (i, j) is
+    scaled[i][j] / scale, with scale > 0 and no common factor left between
+    scale and every entry, so == compares values. Readers, generators and
+    the energy kernels work on these ints; entries, the table as Fractions,
+    is built on first use. provenance is "config" for tables computed from
+    a coordinate Config, the construction name for analytic families, and
+    "file" after loading.
     """
 
     n: int
     m: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    scale: int
+    scaled: tuple[tuple[int, ...], ...]
     provenance: str
 
     def __post_init__(self) -> None:
-        if len(self.entries) != self.n:
+        rows = tuple(map(tuple, self.scaled))
+        if len(rows) != self.n:
             raise ValueError("row count does not match n")
-        rows = []
-        for row in self.entries:
-            if len(row) != self.m:
-                raise ValueError("column count does not match m")
-            vals = []
-            for v in row:  # one walk: coerce to Fraction, then check the sign
-                if type(v) is not Fraction:
-                    v = Fraction(v)
-                if v.numerator < 0:  # denominators are positive
-                    raise ValueError("squared distances cannot be negative")
-                vals.append(v)
-            rows.append(tuple(vals))
-        object.__setattr__(self, "entries", tuple(rows))
+        if any(len(row) != self.m for row in rows):
+            raise ValueError("column count does not match m")
+        if self.scale < 1:
+            raise ValueError("scale must be positive")
+        if self.n and self.m and min(map(min, rows)) < 0:
+            raise ValueError("squared distances cannot be negative")
+        g = self.scale
+        for row in rows:
+            if g == 1:
+                break
+            g = math.gcd(g, *row)
+        if g > 1:
+            rows = tuple(tuple(v // g for v in row) for row in rows)
+        object.__setattr__(self, "scale", self.scale // g)
+        object.__setattr__(self, "scaled", rows)
+
+    @classmethod
+    def of(
+        cls, n: int, m: int, entries: Iterable[Iterable[Rational | str]], provenance: str
+    ) -> "SqDistMatrix":
+        """Build the canonical table from rational entries (ints, Fractions or literals)."""
+        rows = [tuple(map(_frac, row)) for row in entries]
+        scale = common_denominator(chain.from_iterable(rows))
+        scaled = tuple(tuple(scaled_ints(row, scale)) for row in rows)
+        return cls(n=n, m=m, scale=scale, scaled=scaled, provenance=provenance)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The table as Fractions, one shared Fraction per distinct value."""
+        scale = self.scale
+        memo = {v: Fraction(v, scale) for v in set(chain.from_iterable(self.scaled))}
+        return tuple(tuple(map(memo.__getitem__, row)) for row in self.scaled)
 
     @classmethod
     def from_config(cls, cfg: Config) -> "SqDistMatrix":
         """The table of sq_dist(a, p), computed on the config's int_view.
 
-        Each entry is its scaled squared distance over L^2, one Fraction per
-        entry, with no Fraction arithmetic.
+        Each entry is its scaled squared distance over L^2, with no Fraction
+        arithmetic.
         """
         view = int_view(cfg)
-        sq = view.scale * view.scale
         cols = tuple(zip(view.firsts, view.rhos))
-        rows = tuple(
-            tuple(Fraction((a - x) * (a - x) + r, sq) for x, r in cols) for a in view.params
-        )
-        return cls(n=cfg.n, m=cfg.m, entries=rows, provenance="config")
+        rows = tuple(tuple((a - x) * (a - x) + r for x, r in cols) for a in view.params)
+        return cls(n=cfg.n, m=cfg.m, scale=view.scale**2, scaled=rows, provenance="config")
 
 
 def gen_cylinder_extremal(n: int, m: int, h: Rational | str = 1) -> Config:
@@ -192,11 +224,8 @@ def gen_orthogonal_extremal(n: int, m: int) -> SqDistMatrix:
     """
     if n < 1 or m < 1:
         raise InvalidCountError("n and m must be positive")
-    vals = [Fraction(s) for s in range(n + m + 1)]
-    rows = tuple(
-        tuple(vals[i + j] for j in range(1, m + 1)) for i in range(1, n + 1)
-    )
-    return SqDistMatrix(n=n, m=m, entries=rows, provenance="orthogonal")
+    rows = tuple(tuple(range(i + 1, i + m + 1)) for i in range(1, n + 1))
+    return SqDistMatrix(n=n, m=m, scale=1, scaled=rows, provenance="orthogonal")
 
 
 def gen_random(n: int, m: int, k: int, seed: int, coord_range: int) -> Config:

@@ -14,8 +14,9 @@ and the energy: x * Q >= (nm - x)^2 exactly, and when x <= nm/2 also
 4 * x * Q >= m^2 * n^2.
 
 energy_report counts on plain ints: it scales a config once with
-exact.int_view (every squared distance times L^2) and a matrix by the common
-denominator of its entries, and one positive factor keeps every equality.
+exact.int_view (every squared distance times L^2) and reads a matrix's
+canonical int table (SqDistMatrix.scaled) as it is, and one positive factor
+keeps every equality.
 distance_classes stays on the original rationals and checks that scaling:
 it groups a config's pairs by the reduced (numerator, denominator) int pair
 of each squared distance (exact.sq_dist_rows, one gcd per value) and builds
@@ -27,7 +28,8 @@ inputs of at least NUMPY_MIN_PAIRS pairs the numpy kernel sorts a table
 instead, provided numpy can be imported and a bound computed up front in
 Python ints keeps every intermediate value below 2^63; otherwise
 energy_report falls back to the stdlib kernel. The table is int32 when
-that bound is below 2^31 and int64 otherwise. Beside it the kernel holds
+that bound is below 2^31 and int64 otherwise; a matrix's table is filled
+column-major straight from its int rows. Beside it the kernel holds
 one bool mask of the same shape and reads it a block at a time, so its
 working set is about itemsize + 1 bytes per pair. numpy is imported only
 there, so smaller inputs never pay for loading it.
@@ -38,10 +40,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 from .configs import SqDistMatrix
-from .exact import Config, common_denominator, int_view, scaled_ints, sq_dist_rows
+from .exact import Config, int_view, sq_dist_rows
 
 Source = Union[Config, SqDistMatrix]
 
@@ -60,12 +62,10 @@ _INT64_LIMIT = 1 << 63
 _RUN_BLOCK = 1 << 16
 
 
-def _scaled_columns(src: Source) -> Iterator[list[int]]:
+def _scaled_columns(src: Source) -> Iterator[Sequence[int]]:
     """Each P2 column of squared distances, all scaled by one factor into ints."""
     if isinstance(src, SqDistMatrix):
-        scale = common_denominator(v for row in src.entries for v in row)
-        for col in zip(*src.entries):
-            yield scaled_ints(col, scale)
+        yield from zip(*src.scaled)
     else:
         view = int_view(src)
         for x, r in zip(view.firsts, view.rhos):
@@ -224,9 +224,7 @@ def _numpy_report(src: Source) -> EnergyReport | None:
     size n*m is allocated.
     """
     if isinstance(src, SqDistMatrix):
-        scale = common_denominator(v for row in src.entries for v in row)
-        cols = [scaled_ints(col, scale) for col in zip(*src.entries)]
-        bound = max(map(max, cols))
+        bound = max(map(max, src.scaled))
     else:
         view = int_view(src)
         bound = (max(map(abs, view.params)) + max(map(abs, view.firsts))) ** 2 + max(view.rhos)
@@ -239,8 +237,8 @@ def _numpy_report(src: Source) -> EnergyReport | None:
         return None
 
     if isinstance(src, SqDistMatrix):
-        table = np.array(cols, dtype=dtype)
-        del cols
+        # filled column-major, so its transpose is C-contiguous and flat below is a view
+        table = np.array(src.scaled, dtype=dtype, order="F").T
     else:
         table = np.subtract.outer(
             np.array(view.firsts, dtype=dtype), np.array(view.params, dtype=dtype)

@@ -55,6 +55,9 @@ def format_rational(value: Rational) -> str:
 
 
 def _frac(value: Rational | str) -> Fraction:
+    """value as a Fraction: a Fraction is returned as it is, a str is parsed."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, str):
         return parse_rational(value)
     return Fraction(value)
@@ -73,7 +76,8 @@ class Point:
     def __post_init__(self) -> None:
         if len(self.coords) < 2:
             raise ValueError("a point needs at least 2 coordinates")
-        object.__setattr__(self, "coords", tuple(Fraction(v) for v in self.coords))
+        coords = tuple(v if type(v) is Fraction else Fraction(v) for v in self.coords)
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def of(cls, *coords: Rational | str) -> "Point":
@@ -148,7 +152,7 @@ class Config:
             raise ValueError("k must be at least 2")
         if self.c < 1:
             raise ValueError("c must be at least 1")
-        params = tuple(Fraction(v) for v in self.p1_params)
+        params = tuple(v if type(v) is Fraction else Fraction(v) for v in self.p1_params)
         for prev, nxt in zip(params, params[1:]):
             if not prev < nxt:
                 raise ValueError("p1_params must be strictly increasing")

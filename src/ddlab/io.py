@@ -6,7 +6,10 @@ per point. A matrix file starts with ``n=<int>,m=<int>`` followed by n rows
 of m comma-separated rationals. Rationals are written ``n`` or ``n/d``
 with d > 0. Everything is UTF-8; loaders sniff the header to tell the two
 formats apart. A reader parses each distinct literal text once per file:
-a 400x400 orthogonal matrix holds 160,000 entries but only 799 texts.
+a 400x400 orthogonal matrix holds 160,000 entries but only 799 texts. The
+matrix reader maps each text straight to its int in the matrix's canonical
+form, so it makes no Fraction per entry, and the writer formats each
+distinct scaled value once.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ import io as _io
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import TextIO, Union
 
 from .configs import SqDistMatrix
 from .errors import FormatError, excerpt
-from .exact import Config, Point, format_rational, parse_rational
+from .exact import Config, Point, common_denominator, format_rational, parse_rational, scaled_ints
 from .reduction import HyperbolaFamily, _ordered_pairs
 
 Source = Union[Config, SqDistMatrix]
@@ -90,12 +94,20 @@ def read_config(stream: TextIO) -> Config:
 
 
 def write_matrix(mat: SqDistMatrix, stream: TextIO) -> None:
+    """The matrix file of mat, formatting each distinct scaled value once."""
+    text = {v: _format_ratio(v, mat.scale) for v in set(chain.from_iterable(mat.scaled))}
     stream.write(f"n={mat.n},m={mat.m}\n")
-    for row in mat.entries:
-        stream.write(",".join(format_rational(v) for v in row) + "\n")
+    stream.writelines(",".join(map(text.__getitem__, row)) + "\n" for row in mat.scaled)
 
 
 def read_matrix(stream: TextIO) -> SqDistMatrix:
+    """Read a matrix file straight into its canonical int form.
+
+    Each distinct literal text is parsed once; the scale L is the lcm of
+    their denominators, and every row's texts map to ints through one dict,
+    so no Fraction is made per entry. Errors come in the order of a
+    row-by-row parse: the first bad literal or row length in the file.
+    """
     lines = [ln.strip() for ln in stream if ln.strip()]
     if not lines:
         raise FormatError("empty matrix file")
@@ -103,16 +115,31 @@ def read_matrix(stream: TextIO) -> SqDistMatrix:
     if len(lines) - 1 != n:
         raise FormatError(f"expected {n} rows, got {len(lines) - 1}")
     rows = []
-    memo: dict[str, Fraction] = {}
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != m:
+            _parse_rows(rows)  # a bad literal on an earlier row is reported first
             raise FormatError(f"expected {m} entries per row, got {len(parts)}: {excerpt(ln)}")
-        rows.append(_parse_literals(parts, memo))
+        rows.append(parts)
     try:
-        return SqDistMatrix(n=n, m=m, entries=tuple(rows), provenance="file")
+        values = {text: parse_rational(text) for text in set().union(*rows)}
+    except FormatError:
+        _parse_rows(rows)  # raises the file's first bad literal
+        raise
+    scale = common_denominator(values.values())
+    to_int = dict(zip(values, scaled_ints(values.values(), scale)))
+    scaled = tuple(tuple(map(to_int.__getitem__, row)) for row in rows)
+    try:
+        return SqDistMatrix(n=n, m=m, scale=scale, scaled=scaled, provenance="file")
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def _parse_rows(rows: list[list[str]]) -> None:
+    """Parse every literal of rows in file order, raising at the first bad one."""
+    memo: dict[str, Fraction] = {}
+    for row in rows:
+        _parse_literals(row, memo)
 
 
 def _format_ratio(num: int, den: int) -> str:

@@ -219,6 +219,46 @@ class TestVerify:
         assert "PASS bijection" in captured.out
         assert "Traceback" not in captured.out + captured.err
 
+    def test_crashing_check_reports_error_and_later_checks_run(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "cfg.csv"
+        path.write_text("k=2,c=1\nP1,0\nP1,2\nP2,0,1\nP2,1,2\n", encoding="utf-8")
+
+        def broken(src):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(ddlab.cli, "oracle_quadruples", broken)
+        code = main(["verify", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        lines = captured.out.splitlines()
+        assert [ln.split(" ", 1)[0] for ln in lines] == ["PASS", "PASS", "ERROR"] + ["PASS"] * 7
+        assert lines[2] == "ERROR energy-oracle: RuntimeError: injected"
+        assert lines[3].startswith("PASS chain: ")
+        assert lines[-1].startswith("PASS intersections: ")
+        assert captured.err == ""
+
+    def test_checks_needing_a_crashed_result_each_report_error(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "cfg.csv"
+        path.write_text("k=2,c=1\nP1,0\nP1,2\nP2,0,1\nP2,1,2\n", encoding="utf-8")
+        calls = []
+
+        def broken(src):
+            calls.append(src)
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(ddlab.cli, "energy_report", broken)
+        code = main(["verify", "--input", str(path), "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert payload["ok"] is False
+        errors = [c["name"] for c in payload["checks"] if c["status"] == "ERROR"]
+        assert errors == ["class-grouping", "energy-oracle", "chain", "q0-bound", "bijection"]
+        assert {c["detail"] for c in payload["checks"] if c["status"] == "ERROR"} == {
+            "RuntimeError: injected"
+        }
+        assert len(calls) == 1  # the shared report is computed once
+        assert {c["status"] for c in payload["checks"] if c["name"] not in errors} == {"PASS"}
+
 
 class TestBound:
     def test_json_fixture(self, capsys):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import io
+import math
 import random
 from fractions import Fraction
 
@@ -20,12 +23,14 @@ from ddlab import (
     gen_cylinder_extremal,
     gen_orthogonal_extremal,
     gen_random,
+    parse_rational,
     prune_general,
     prune_planar,
     sq_dist,
     translate_along_axis,
     validate_constraints,
 )
+from ddlab.io import read_matrix, write_matrix
 from conftest import clustered_config, fractional_config, small_random_config
 
 
@@ -173,12 +178,80 @@ class TestSqDistMatrix:
 
     def test_shape_and_sign_checks(self):
         with pytest.raises(ValueError):
-            SqDistMatrix(n=2, m=1, entries=((Fraction(1),),), provenance="file")
+            SqDistMatrix.of(n=2, m=1, entries=((Fraction(1),),), provenance="file")
         for bad in (Fraction(-1), Fraction(-1, 3), -2):
             with pytest.raises(ValueError):
-                SqDistMatrix(n=1, m=1, entries=((bad,),), provenance="file")
-        zero = SqDistMatrix(n=1, m=2, entries=((0, Fraction(0, 5)),), provenance="file")
+                SqDistMatrix.of(n=1, m=1, entries=((bad,),), provenance="file")
+        zero = SqDistMatrix.of(n=1, m=2, entries=((0, Fraction(0, 5)),), provenance="file")
         assert zero.entries == ((Fraction(0), Fraction(0)),)
+
+    def test_canonical_scale(self):
+        # a common factor of scale and every entry is divided out, so == is value equality
+        mat = SqDistMatrix(n=1, m=3, scale=12, scaled=((6, 18, 0),), provenance="file")
+        assert (mat.scale, mat.scaled) == (2, ((1, 3, 0),))
+        assert mat == SqDistMatrix.of(1, 3, [["1/2", "3/2", "0"]], "file")
+        for scale in (5, 1):
+            empty = SqDistMatrix(n=0, m=2, scale=scale, scaled=(), provenance="file")
+            assert empty.scale == 1 and empty.entries == ()
+        with pytest.raises(ValueError):
+            SqDistMatrix(n=1, m=1, scale=0, scaled=((1,),), provenance="file")
+
+
+# Literal texts over the denominators 1, 2, 3, 4, 6 and 7, unreduced ones
+# included, with "-0" beside "0"; tables draw from a small pool, so equal
+# values repeat, often written differently.
+_DENS = (1, 2, 3, 4, 6, 7)
+_LITERALS = st.one_of(
+    st.sampled_from(("0", "-0")),
+    st.builds(lambda num, den: f"{num}/{den}", st.integers(0, 30), st.sampled_from(_DENS)),
+    st.integers(0, 30).map(str),
+)
+
+
+@st.composite
+def literal_tables(draw):
+    n, m = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    pool = draw(st.lists(_LITERALS, min_size=1, max_size=6))
+    row = st.lists(st.sampled_from(pool), min_size=m, max_size=m)
+    return n, m, draw(st.lists(row, min_size=n, max_size=n))
+
+
+def _round_trip(mat: SqDistMatrix) -> SqDistMatrix:
+    buf = io.StringIO()
+    write_matrix(mat, buf)
+    return read_matrix(io.StringIO(buf.getvalue()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(literal_tables())
+def test_canonical_matrix_from_any_rational_table(table):
+    n, m, texts = table
+    values = tuple(tuple(parse_rational(t) for t in row) for row in texts)
+    mat = SqDistMatrix.of(n, m, texts, "file")
+    assert mat.entries == values
+    assert all(type(v) is Fraction for row in mat.entries for v in row)
+    assert mat.scale == math.lcm(*(v.denominator for row in values for v in row))
+    assert SqDistMatrix.of(n, m, values, "file") == mat
+    assert _round_trip(mat) == mat
+    text = f"n={n},m={m}\n" + "".join(",".join(row) + "\n" for row in texts)
+    assert read_matrix(io.StringIO(text)) == mat
+
+
+_COORDS = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(_DENS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.lists(_COORDS, min_size=1, max_size=4, unique=True), st.data())
+def test_canonical_matrix_from_config(k, params, data):
+    point = st.lists(_COORDS, min_size=k, max_size=k)
+    points = data.draw(st.lists(point, min_size=1, max_size=4))
+    cfg = Config.of(k=k, c=len(points), p1_params=params, p2_points=points)
+    mat = SqDistMatrix.from_config(cfg)
+    by_value = SqDistMatrix.of(
+        cfg.n, cfg.m, [[sq_dist(a, p) for p in cfg.p2_points] for a in cfg.p1_params], "config"
+    )
+    assert mat == by_value
+    assert _round_trip(mat) == dataclasses.replace(mat, provenance="file")
 
 
 class TestGenRandom:

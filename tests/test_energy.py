@@ -226,10 +226,11 @@ def kernel_sources(draw):
     kind = draw(st.sampled_from(("int", "fraction", "matrix")))
     if kind == "matrix":
         n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-        entry = st.builds(Fraction, st.integers(0, 8), st.sampled_from((1, 2, 3)))
-        row = st.lists(entry, min_size=m, max_size=m).map(tuple)
+        value = st.builds(Fraction, st.integers(0, 8), st.sampled_from((1, 2, 3, 4, 6, 7)))
+        pool = draw(st.lists(value, min_size=1, max_size=8))  # repeated values are common
+        row = st.lists(st.sampled_from(pool), min_size=m, max_size=m).map(tuple)
         entries = draw(st.lists(row, min_size=n, max_size=n).map(tuple))
-        return SqDistMatrix(n=n, m=m, entries=entries, provenance="file")
+        return SqDistMatrix.of(n=n, m=m, entries=entries, provenance="file")
     dens = (1,) if kind == "int" else (1, 2, 3, 6, 7)
     value = st.builds(Fraction, st.integers(-6, 6), st.sampled_from(dens))
     k = draw(st.integers(2, 4))
@@ -245,7 +246,7 @@ def near_limit(src, limit: int, above: bool, slack: int):
         scale = common_denominator(v for row in src.entries for v in row)
         far = Fraction(limit + slack if above else limit - 1 - slack, scale)
         # a whole row of the far value, so that a class sits at the top of the range
-        return SqDistMatrix(src.n + 1, src.m, src.entries + ((far,) * src.m,), "file")
+        return SqDistMatrix.of(src.n + 1, src.m, src.entries + ((far,) * src.m,), "file")
     # one far point at scaled squared axis distance limit / 2, half the
     # budget, and on the far side of the largest axis parameter:
     # (|top| + s)^2 + limit / 2 is both the bound and the largest table entry
@@ -323,20 +324,22 @@ def test_numpy_kernel_across_run_blocks(block, src):
 @pytest.mark.parametrize("coord_range, dtype", [(9600, "int32"), (1 << 20, "int64")])
 def test_numpy_kernel_working_set(coord_range, dtype):
     # the table plus a bool mask of its size, with room for the per-block
-    # scratch: at most 1.5 * (itemsize + 1) traced bytes per pair
+    # scratch: at most 1.5 * (itemsize + 1) traced bytes per pair, on the
+    # config and on its matrix, whose int table is built before tracing
     np = pytest.importorskip("numpy")  # loaded before tracing starts
     cfg = gen_random(n=1200, m=1200, k=2, seed=7, coord_range=coord_range)
-    with dtype_choices() as chosen:
-        tracemalloc.start()
-        try:
-            rep = _numpy_report(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert chosen == [dtype]
-    assert rep is not None
     pairs = cfg.n * cfg.m
-    assert peak <= 1.5 * (np.dtype(dtype).itemsize + 1) * pairs, f"{peak / pairs:.1f} B/pair"
+    for src in (cfg, SqDistMatrix.from_config(cfg)):
+        with dtype_choices() as chosen:
+            tracemalloc.start()
+            try:
+                rep = _numpy_report(src)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert chosen == [dtype]
+        assert rep is not None
+        assert peak <= 1.5 * (np.dtype(dtype).itemsize + 1) * pairs, f"{type(src).__name__}: {peak / pairs:.1f} B/pair"
 
 
 def test_over_the_limit_takes_the_stdlib_path():

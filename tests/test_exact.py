@@ -131,6 +131,22 @@ class TestConfig:
         assert cfg.p1_params == (0, 2, 3)
         assert cfg.n == 3 and cfg.m == 1
 
+    def test_of_keeps_fraction_objects(self):
+        # each coordinate is coerced once: a Fraction is already canonical
+        a, b, x, y = Fraction(5, 3), Fraction(-1, 2), Fraction(7, 4), Fraction(0)
+        cfg = Config.of(2, 1, [a, b], [(x, y)])
+        assert cfg.p1_params[0] is b and cfg.p1_params[1] is a
+        assert cfg.p2_points[0].coords[0] is x and cfg.p2_points[0].coords[1] is y
+        direct = Config(k=2, c=1, p1_params=(b, a), p2_points=(Point((x, y)),))
+        assert direct.p1_params[0] is b and direct.p2_points[0].coords[1] is y
+
+    def test_of_coerces_ints_and_literals(self):
+        cfg = Config.of(2, 1, [3, "4/6"], [(2, "-0"), ("10/4", -1)])
+        values = cfg.p1_params + tuple(v for p in cfg.p2_points for v in p.coords)
+        assert values == (Fraction(2, 3), 3, 2, 0, Fraction(5, 2), -1)
+        assert all(type(v) is Fraction for v in values)
+        assert values[0].denominator == 3 and values[4].denominator == 2
+
 
 class TestValidateConstraints:
     def test_axis_violation(self):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import io
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ddlab.cli
 import ddlab.io
 from ddlab import (
     Config,
@@ -85,7 +87,7 @@ class TestMatrixFormat:
         assert buf.getvalue() == "n=2,m=3\n2,3,4\n3,4,5\n"
 
     def test_round_trip(self):
-        mat = SqDistMatrix(
+        mat = SqDistMatrix.of(
             n=2,
             m=2,
             entries=((Fraction(1, 3), Fraction(5)), (Fraction(0), Fraction(7, 2))),
@@ -110,6 +112,21 @@ class TestMatrixFormat:
     def test_rejects(self, text):
         with pytest.raises(FormatError):
             read_matrix(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n=2,m=2\n1,1/0\n1\n", "zero denominator: '1/0'"),
+            ("n=2,m=2\n1\n1/0,2\n", "expected 2 entries per row, got 1: '1'"),
+            ("n=2,m=2\n1,x\n2,1/0\n", "bad rational literal: 'x'"),
+            ("n=2,m=2\n1,-1\n2,1/0\n", "zero denominator: '1/0'"),
+        ],
+    )
+    def test_first_error_in_file_order(self, text, message):
+        # as a row-by-row parse would report it; a sign comes after every literal
+        with pytest.raises(FormatError) as exc:
+            read_matrix(io.StringIO(text))
+        assert str(exc.value) == message
 
 
 def test_gamma_csv_golden():
@@ -160,6 +177,27 @@ def test_loader_parses_each_distinct_literal_once(monkeypatch):
     cfg = gen_cylinder_extremal(50, 50)
     assert round_trip_config(cfg) == cfg
     assert sorted(calls, key=int) == [str(v) for v in range(50)]  # "1" is P1 and P2 text
+
+
+def test_matrix_stats_makes_no_fraction_per_entry(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "orthogonal.csv"
+    assert ddlab.cli.main(["gen", "--generator", "orthogonal", "--n", "400", "--m", "400",
+                           "--output", str(path)]) == 0
+    real_new = Fraction.__new__
+    made = []
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    assert ddlab.cli.main(["stats", "--input", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["x"] == 799
+    assert len(made) == 799  # parse_rational of each distinct literal, nothing per entry
+    mat = load_source(path)
+    made.clear()
+    assert mat.entries[399][399] == 800
+    assert len(made) == 799  # entries shares one Fraction per distinct value
 
 
 def test_bad_literal_raises_every_time():

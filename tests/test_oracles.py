@@ -28,7 +28,7 @@ def test_quadruple_oracle_on_tiny_config():
 
 
 def test_quadruple_oracle_guard():
-    mat = SqDistMatrix(
+    mat = SqDistMatrix.of(
         n=2001,
         m=1,
         entries=tuple((Fraction(i),) for i in range(2001)),

@@ -34,7 +34,7 @@ from ddlab import (
     validate_constraints,
 )
 from ddlab.energy import _numpy_report
-from ddlab.io import write_gamma_csv
+from ddlab.io import read_matrix, write_gamma_csv, write_matrix
 from conftest import fractional_config
 
 DENOMINATORS = (1, 2, 3, 5, 7, 12)
@@ -207,7 +207,7 @@ def test_join_at_400_matches_energy():
 
 def test_fractional_matrix_entries():
     half, third = Fraction(1, 2), Fraction(1, 3)
-    mat = SqDistMatrix(
+    mat = SqDistMatrix.of(
         n=3,
         m=3,
         entries=(
@@ -242,6 +242,9 @@ def test_kernels_do_no_fraction_arithmetic(monkeypatch):
     _refuse_fraction_arithmetic(monkeypatch)
     energy_report(cfg)
     energy_report(mat)
+    buf = io.StringIO()
+    write_matrix(mat, buf)  # the file reader and writer stay on the scaled ints too
+    assert read_matrix(io.StringIO(buf.getvalue())).scaled == mat.scaled
     family = build_family(cfg)
     for g in (ParamGrid.from_config(cfg), grid):
         incidences(g, family)
