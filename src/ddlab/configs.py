@@ -35,7 +35,7 @@ from .errors import (
     InvalidCountError,
     InvalidRangeError,
 )
-from .exact import Config, Point, Rational, _frac, common_denominator, int_view, rho_sq, scaled_ints
+from .exact import Config, Point, Rational, _frac, int_view, rho_sq, scale_table
 
 
 class Side(enum.Enum):
@@ -174,9 +174,7 @@ class SqDistMatrix:
         cls, n: int, m: int, entries: Iterable[Iterable[Rational | str]], provenance: str
     ) -> "SqDistMatrix":
         """Build the canonical table from rational entries (ints, Fractions or literals)."""
-        rows = [tuple(map(_frac, row)) for row in entries]
-        scale = common_denominator(chain.from_iterable(rows))
-        scaled = tuple(tuple(scaled_ints(row, scale)) for row in rows)
+        scale, scaled = scale_table([tuple(row) for row in entries], _frac)
         return cls(n=n, m=m, scale=scale, scaled=scaled, provenance=provenance)
 
     @cached_property

@@ -19,13 +19,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from .errors import FormatError, excerpt
 
 Rational = Union[int, Fraction]
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+_Item = TypeVar("_Item", bound=Hashable)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -193,6 +195,22 @@ def common_denominator(values: Iterable[Fraction]) -> int:
 def scaled_ints(values: Iterable[Fraction], scale: int) -> list[int]:
     """Each value times scale, as ints; scale must be a multiple of every denominator."""
     return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def scale_table(
+    rows: Sequence[Sequence[_Item]], parse: Callable[[_Item], Fraction]
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """A table of rationals (or their literals) as (L, each entry times L).
+
+    L is the common denominator of the parsed entries. Each distinct item is
+    parsed once, in order of first appearance row by row, so the first bad
+    item of the table is the one that raises; every row then maps to ints
+    through one dict, so no Fraction is made per entry.
+    """
+    values = {item: parse(item) for item in dict.fromkeys(chain.from_iterable(rows))}
+    scale = common_denominator(values.values())
+    to_int = dict(zip(values, scaled_ints(values.values(), scale)))
+    return scale, tuple(tuple(map(to_int.__getitem__, row)) for row in rows)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import TextIO, Union
 
 from .configs import SqDistMatrix
 from .errors import FormatError, excerpt
-from .exact import Config, Point, common_denominator, format_rational, parse_rational, scaled_ints
+from .exact import Config, Point, format_rational, parse_rational, scale_table
 from .reduction import HyperbolaFamily, _ordered_pairs
 
 Source = Union[Config, SqDistMatrix]
@@ -103,10 +103,9 @@ def write_matrix(mat: SqDistMatrix, stream: TextIO) -> None:
 def read_matrix(stream: TextIO) -> SqDistMatrix:
     """Read a matrix file straight into its canonical int form.
 
-    Each distinct literal text is parsed once; the scale L is the lcm of
-    their denominators, and every row's texts map to ints through one dict,
-    so no Fraction is made per entry. Errors come in the order of a
-    row-by-row parse: the first bad literal or row length in the file.
+    scale_table parses each distinct literal text once and maps every row's
+    texts to ints through one dict, so no Fraction is made per entry. Errors
+    come in file order: the first bad literal or row length in the file.
     """
     lines = [ln.strip() for ln in stream if ln.strip()]
     if not lines:
@@ -118,28 +117,14 @@ def read_matrix(stream: TextIO) -> SqDistMatrix:
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != m:
-            _parse_rows(rows)  # a bad literal on an earlier row is reported first
+            scale_table(rows, parse_rational)  # a bad literal on an earlier row is reported first
             raise FormatError(f"expected {m} entries per row, got {len(parts)}: {excerpt(ln)}")
         rows.append(parts)
-    try:
-        values = {text: parse_rational(text) for text in set().union(*rows)}
-    except FormatError:
-        _parse_rows(rows)  # raises the file's first bad literal
-        raise
-    scale = common_denominator(values.values())
-    to_int = dict(zip(values, scaled_ints(values.values(), scale)))
-    scaled = tuple(tuple(map(to_int.__getitem__, row)) for row in rows)
+    scale, scaled = scale_table(rows, parse_rational)
     try:
         return SqDistMatrix(n=n, m=m, scale=scale, scaled=scaled, provenance="file")
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-
-
-def _parse_rows(rows: list[list[str]]) -> None:
-    """Parse every literal of rows in file order, raising at the first bad one."""
-    memo: dict[str, Fraction] = {}
-    for row in rows:
-        _parse_literals(row, memo)
 
 
 def _format_ratio(num: int, den: int) -> str:

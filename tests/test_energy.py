@@ -227,8 +227,9 @@ def kernel_sources(draw):
     if kind == "matrix":
         n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
         value = st.builds(Fraction, st.integers(0, 8), st.sampled_from((1, 2, 3, 4, 6, 7)))
-        pool = draw(st.lists(value, min_size=1, max_size=8))  # repeated values are common
-        row = st.lists(st.sampled_from(pool), min_size=m, max_size=m).map(tuple)
+        pool = draw(st.lists(value, min_size=1, max_size=8))  # repeats stay common,
+        entry = st.one_of(st.sampled_from(pool), value)  # and tables can be all distinct
+        row = st.lists(entry, min_size=m, max_size=m).map(tuple)
         entries = draw(st.lists(row, min_size=n, max_size=n).map(tuple))
         return SqDistMatrix.of(n=n, m=m, entries=entries, provenance="file")
     dens = (1,) if kind == "int" else (1, 2, 3, 6, 7)

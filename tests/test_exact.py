@@ -19,6 +19,7 @@ from ddlab import (
     sq_dist,
     validate_constraints,
 )
+from ddlab.exact import scale_table
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=60)
 
@@ -37,6 +38,19 @@ class TestRationalLiterals:
     def test_rejects(self, bad):
         with pytest.raises(FormatError):
             parse_rational(bad)
+
+    def test_scale_table_parses_each_distinct_item_once_in_order(self):
+        calls = []
+
+        def parse(text):
+            calls.append(text)
+            return parse_rational(text)
+
+        assert scale_table([["1/2", "1/3"], ["1/2", "2"]], parse) == (6, ((3, 2), (3, 12)))
+        assert calls == ["1/2", "1/3", "2"]
+        with pytest.raises(FormatError, match="bad rational literal: 'x'"):
+            scale_table([["1", "x"], ["1/0"]], parse_rational)  # the first bad item raises
+        assert scale_table([], parse_rational) == (1, ())
 
     def test_rejects_trailing_newline(self):
         with pytest.raises(FormatError):
