@@ -12,11 +12,11 @@ from ddlab import (
     Config,
     check_chain,
     distance_classes,
-    energy,
     energy_report,
     gen_random,
     oracle_quadruples,
 )
+from ddlab.energy import energy
 
 # Two axis positions against two planar points, small enough to eyeball.
 cfg = Config.of(k=2, c=1, p1_params=[0, 2], p2_points=[(0, 1), (1, 2)])

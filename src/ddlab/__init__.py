@@ -38,7 +38,6 @@ from .energy import (
     EnergyReport,
     check_chain,
     distance_classes,
-    energy,
     energy_report,
 )
 from .errors import (
@@ -130,7 +129,6 @@ __all__ = [
     "classify_branch",
     "distance_classes",
     "distinct_lower_bound",
-    "energy",
     "energy_report",
     "energy_upper_expr",
     "format_rational",

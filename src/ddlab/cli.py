@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from collections import Counter
+from io import StringIO
 from itertools import combinations, islice
 from pathlib import Path
 
@@ -107,13 +108,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     )
     if args.generator == "random" and args.c != 1:
         src = Config(k=src.k, c=args.c, p1_params=src.p1_params, p2_points=src.p2_points)
-    import io as _io
-
-    buf = _io.StringIO()
-    if isinstance(src, SqDistMatrix):
-        dio.write_matrix(src, buf)
-    else:
-        dio.write_config(src, buf)
+    buf = StringIO()
+    dio.write_source(src, buf)
     _emit(buf.getvalue(), args.output)
     return 0
 
@@ -146,11 +142,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     family = build_family(src)
     rep = incidences(ParamGrid.from_config(src), family)
     if args.output is not None:
-        import io as _io
-
-        buf = _io.StringIO()
+        buf = StringIO()
         dio.write_gamma_csv(family, buf)
-        Path(args.output).write_text(buf.getvalue(), encoding="utf-8", newline="")
+        _emit(buf.getvalue(), args.output)
     if args.json:
         sys.stdout.write(json.dumps(rep.to_json_dict(), indent=2) + "\n")
     else:

@@ -68,6 +68,19 @@ class PrunedConfig:
         return Config(k=self.base.k, c=1, p1_params=self.base.p1_params, p2_points=tuple(pts))
 
 
+def _greedy_scan(candidates: Iterable[tuple[Fraction, Fraction, int]]) -> tuple[int, ...]:
+    """Scan (axis key, transverse key, index) triples, keeping each index whose keys are both new."""
+    kept: list[int] = []
+    seen_axis: set[Fraction] = set()
+    seen_transverse: set[Fraction] = set()
+    for axis, transverse, idx in candidates:
+        if axis not in seen_axis and transverse not in seen_transverse:
+            kept.append(idx)
+            seen_axis.add(axis)
+            seen_transverse.add(transverse)
+    return tuple(kept)
+
+
 def prune_planar(cfg: Config) -> PrunedConfig:
     """Greedy planar prune: one halfplane, then distinct x and distinct y.
 
@@ -93,16 +106,7 @@ def prune_planar(cfg: Config) -> PrunedConfig:
     chosen = above if len(above) >= len(below) else below
     pts = cfg.p2_points
     candidates = sorted((pts[idx].coords[0], abs(pts[idx].coords[1]), idx) for idx in chosen)
-    kept: list[int] = []
-    seen_x: set[Fraction] = set()
-    seen_y: set[Fraction] = set()
-    for x, y, idx in candidates:
-        if x in seen_x or y in seen_y:
-            continue
-        kept.append(idx)
-        seen_x.add(x)
-        seen_y.add(y)
-    return PrunedConfig(base=cfg, kept_indices=tuple(kept), side=Side.UPPER)
+    return PrunedConfig(base=cfg, kept_indices=_greedy_scan(candidates), side=Side.UPPER)
 
 
 def prune_general(cfg: Config) -> PrunedConfig:
@@ -115,19 +119,10 @@ def prune_general(cfg: Config) -> PrunedConfig:
     """
     if cfg.m == 0:
         raise EmptyResultError("second point set is empty")
-    order = sorted(range(cfg.m), key=lambda idx: cfg.p2_points[idx].coords)
-    kept: list[int] = []
-    seen_axis: set[Fraction] = set()
-    seen_rho: set[Fraction] = set()
-    for idx in order:
-        p = cfg.p2_points[idx]
-        r = rho_sq(p)
-        if p.coords[0] in seen_axis or r in seen_rho:
-            continue
-        kept.append(idx)
-        seen_axis.add(p.coords[0])
-        seen_rho.add(r)
-    return PrunedConfig(base=cfg, kept_indices=tuple(kept), side=Side.NOT_APPLICABLE)
+    pts = cfg.p2_points
+    order = sorted(range(cfg.m), key=lambda idx: pts[idx].coords)
+    kept = _greedy_scan((pts[idx].coords[0], rho_sq(pts[idx]), idx) for idx in order)
+    return PrunedConfig(base=cfg, kept_indices=kept, side=Side.NOT_APPLICABLE)
 
 
 @dataclass(frozen=True)
@@ -136,11 +131,11 @@ class SqDistMatrix:
 
     The table is kept in canonical int form: entry (i, j) is
     scaled[i][j] / scale, with scale > 0 and no common factor left between
-    scale and every entry, so == compares values. Readers, generators and
-    the energy kernels work on these ints; entries, the table as Fractions,
-    is built on first use. provenance is "config" for tables computed from
-    a coordinate Config, the construction name for analytic families, and
-    "file" after loading.
+    scale and every entry, so equal values give equal ints. == compares
+    the ints and provenance: "config" for tables computed from a coordinate
+    Config, the construction name for analytic families, and "file" after
+    loading. Readers, generators and the energy kernels work on the ints;
+    entries, the table as Fractions, is built on first use.
     """
 
     n: int

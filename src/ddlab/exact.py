@@ -48,12 +48,16 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
-def format_rational(value: Rational) -> str:
+def format_ratio(num: int, den: int) -> str:
+    """The literal ``n`` or ``n/d`` of num / den (den > 0), reduced with one gcd."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def format_rational(value: Rational | str) -> str:
     """Format a rational as ``n`` or ``n/d`` with d > 0, round-tripping parse_rational."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    f = _frac(value)
+    return format_ratio(f.numerator, f.denominator)
 
 
 def _frac(value: Rational | str) -> Fraction:
@@ -78,12 +82,11 @@ class Point:
     def __post_init__(self) -> None:
         if len(self.coords) < 2:
             raise ValueError("a point needs at least 2 coordinates")
-        coords = tuple(v if type(v) is Fraction else Fraction(v) for v in self.coords)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", tuple(map(_frac, self.coords)))
 
     @classmethod
     def of(cls, *coords: Rational | str) -> "Point":
-        return cls(tuple(_frac(v) for v in coords))
+        return cls(coords)
 
     @property
     def k(self) -> int:
@@ -154,7 +157,7 @@ class Config:
             raise ValueError("k must be at least 2")
         if self.c < 1:
             raise ValueError("c must be at least 1")
-        params = tuple(v if type(v) is Fraction else Fraction(v) for v in self.p1_params)
+        params = tuple(map(_frac, self.p1_params))
         for prev, nxt in zip(params, params[1:]):
             if not prev < nxt:
                 raise ValueError("p1_params must be strictly increasing")
@@ -174,9 +177,9 @@ class Config:
         p2_points: Iterable[Sequence[Rational | str]],
     ) -> "Config":
         """Build a Config from plain ints / literals; sorts the axis parameters."""
-        params = sorted(_frac(v) for v in p1_params)
-        pts = tuple(Point(tuple(_frac(v) for v in row)) for row in p2_points)
-        return cls(k=k, c=c, p1_params=tuple(params), p2_points=pts)
+        params = tuple(sorted(map(_frac, p1_params)))
+        pts = tuple(Point(tuple(row)) for row in p2_points)
+        return cls(k=k, c=c, p1_params=params, p2_points=pts)
 
     @property
     def n(self) -> int:
@@ -197,17 +200,22 @@ def scaled_ints(values: Iterable[Fraction], scale: int) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
+def parse_distinct(items: Iterable[_Item], parse: Callable[[_Item], Fraction]) -> dict[_Item, Fraction]:
+    """parse of each distinct item once, in order of first appearance, so the first bad item raises."""
+    return {item: parse(item) for item in dict.fromkeys(items)}
+
+
 def scale_table(
     rows: Sequence[Sequence[_Item]], parse: Callable[[_Item], Fraction]
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """A table of rationals (or their literals) as (L, each entry times L).
 
-    L is the common denominator of the parsed entries. Each distinct item is
-    parsed once, in order of first appearance row by row, so the first bad
-    item of the table is the one that raises; every row then maps to ints
-    through one dict, so no Fraction is made per entry.
+    L is the common denominator of the parsed entries. The items go through
+    parse_distinct row by row, so the first bad item of the table is the one
+    that raises; every row then maps to ints through one dict, so no
+    Fraction is made per entry.
     """
-    values = {item: parse(item) for item in dict.fromkeys(chain.from_iterable(rows))}
+    values = parse_distinct(chain.from_iterable(rows), parse)
     scale = common_denominator(values.values())
     to_int = dict(zip(values, scaled_ints(values.values(), scale)))
     return scale, tuple(tuple(map(to_int.__getitem__, row)) for row in rows)

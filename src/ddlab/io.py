@@ -5,26 +5,24 @@ line per axis parameter and one ``P2,<rational>,...`` line (k coordinates)
 per point. A matrix file starts with ``n=<int>,m=<int>`` followed by n rows
 of m comma-separated rationals. Rationals are written ``n`` or ``n/d``
 with d > 0. Everything is UTF-8; loaders sniff the header to tell the two
-formats apart. A reader parses each distinct literal text once per file:
-a 400x400 orthogonal matrix holds 160,000 entries but only 799 texts. The
-matrix reader maps each text straight to its int in the matrix's canonical
-form, so it makes no Fraction per entry, and the writer formats each
-distinct scaled value once.
+formats apart. Both readers parse each distinct literal text once per file
+(exact.parse_distinct): a 400x400 orthogonal matrix holds 160,000 entries
+but only 799 texts. The matrix reader maps each text straight to its int in
+the matrix's canonical form, so it makes no Fraction per entry, and the
+writer formats each distinct scaled value once (exact.format_ratio).
 """
 
 from __future__ import annotations
 
 import io as _io
-import math
 import re
-from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 from typing import TextIO, Union
 
 from .configs import SqDistMatrix
 from .errors import FormatError, excerpt
-from .exact import Config, Point, format_rational, parse_rational, scale_table
+from .exact import Config, format_ratio, format_rational, parse_distinct, parse_rational, scale_table
 from .reduction import HyperbolaFamily, _ordered_pairs
 
 Source = Union[Config, SqDistMatrix]
@@ -41,22 +39,6 @@ def _parse_header_pair(line: str, key_a: str, key_b: str) -> tuple[int, int]:
         raise FormatError(f"header integer too long ({len(head)} characters)") from exc
 
 
-def _parse_literals(texts: list[str], memo: dict[str, Fraction]) -> tuple[Fraction, ...]:
-    """parse_rational of each text, parsing each distinct text once per memo.
-
-    Each reader owns one memo for a single call, so nothing outlives the
-    read. Only successful parses are stored, so a bad literal raises the
-    same FormatError every time it is met.
-    """
-    try:
-        return tuple(map(memo.__getitem__, texts))
-    except KeyError:
-        for text in texts:
-            if text not in memo:
-                memo[text] = parse_rational(text)
-        return tuple(map(memo.__getitem__, texts))
-
-
 def write_config(cfg: Config, stream: TextIO) -> None:
     stream.write(f"k={cfg.k},c={cfg.c}\n")
     for v in cfg.p1_params:
@@ -67,26 +49,29 @@ def write_config(cfg: Config, stream: TextIO) -> None:
 
 
 def read_config(stream: TextIO) -> Config:
+    """Read a config file; errors come in file order, as in read_matrix."""
     lines = [ln.strip() for ln in stream if ln.strip()]
     if not lines:
         raise FormatError("empty config file")
     k, c = _parse_header_pair(lines[0], "k", "c")
-    p1 = []
-    p2 = []
-    memo: dict[str, Fraction] = {}
+    rows = []  # the P1 and P2 lines split on commas, tag first, in file order
+    problem = None
     for ln in lines[1:]:
         parts = ln.split(",")
-        if parts[0] == "P1":
-            if len(parts) != 2:
-                raise FormatError(f"P1 line needs one rational: {excerpt(ln)}")
-            p1.extend(_parse_literals(parts[1:], memo))
-        elif parts[0] == "P2":
-            if len(parts) != k + 1:
-                got = len(parts) - 1
-                raise FormatError(f"P2 line needs {k} rationals, got {got}: {excerpt(ln)}")
-            p2.append(_parse_literals(parts[1:], memo))
-        else:
-            raise FormatError(f"unknown line tag: {excerpt(parts[0])}")
+        if parts[0] == "P1" and len(parts) != 2:
+            problem = f"P1 line needs one rational: {excerpt(ln)}"
+        elif parts[0] == "P2" and len(parts) != k + 1:
+            problem = f"P2 line needs {k} rationals, got {len(parts) - 1}: {excerpt(ln)}"
+        elif parts[0] not in ("P1", "P2"):
+            problem = f"unknown line tag: {excerpt(parts[0])}"
+        if problem is not None:
+            break
+        rows.append(parts)
+    value = parse_distinct(chain.from_iterable(row[1:] for row in rows), parse_rational)
+    if problem is not None:
+        raise FormatError(problem)
+    p1 = [value[row[1]] for row in rows if row[0] == "P1"]
+    p2 = [tuple(map(value.__getitem__, row[1:])) for row in rows if row[0] == "P2"]
     try:
         return Config.of(k=k, c=c, p1_params=p1, p2_points=p2)
     except ValueError as exc:
@@ -95,7 +80,7 @@ def read_config(stream: TextIO) -> Config:
 
 def write_matrix(mat: SqDistMatrix, stream: TextIO) -> None:
     """The matrix file of mat, formatting each distinct scaled value once."""
-    text = {v: _format_ratio(v, mat.scale) for v in set(chain.from_iterable(mat.scaled))}
+    text = {v: format_ratio(v, mat.scale) for v in set(chain.from_iterable(mat.scaled))}
     stream.write(f"n={mat.n},m={mat.m}\n")
     stream.writelines(",".join(map(text.__getitem__, row)) + "\n" for row in mat.scaled)
 
@@ -127,12 +112,6 @@ def read_matrix(stream: TextIO) -> SqDistMatrix:
         raise FormatError(str(exc)) from exc
 
 
-def _format_ratio(num: int, den: int) -> str:
-    """format_rational of num / den (den > 0), reduced with one gcd."""
-    g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
-
-
 def write_gamma_csv(family: HyperbolaFamily, stream: TextIO) -> None:
     """One curve per row: source pair indices and the three coefficients.
 
@@ -140,10 +119,10 @@ def write_gamma_csv(family: HyperbolaFamily, stream: TextIO) -> None:
     is formatted once, and each gamma is reduced by a gcd, not a Fraction.
     """
     rhos, sq = family.rhos, family.scale * family.scale
-    axis = [_format_ratio(-x, family.scale) for x in family.firsts]
+    axis = [format_ratio(-x, family.scale) for x in family.firsts]
     stream.write("p_idx,q_idx,alpha,beta,gamma\n")
     stream.writelines(
-        f"{i},{j},{axis[i]},{axis[j]},{_format_ratio(rhos[i] - rhos[j], sq)}\n"
+        f"{i},{j},{axis[i]},{axis[j]},{format_ratio(rhos[i] - rhos[j], sq)}\n"
         for i, j in _ordered_pairs(family.m)
     )
 
@@ -159,9 +138,13 @@ def load_source(path: str | Path) -> Source:
     raise FormatError(f"unrecognized header: {excerpt(head)}")
 
 
+def write_source(src: Source, stream: TextIO) -> None:
+    if isinstance(src, SqDistMatrix):
+        write_matrix(src, stream)
+    else:
+        write_config(src, stream)
+
+
 def save_source(src: Source, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if isinstance(src, SqDistMatrix):
-            write_matrix(src, fh)
-        else:
-            write_config(src, fh)
+        write_source(src, fh)

@@ -28,7 +28,6 @@ from ddlab import (
     clamped_log,
     distance_classes,
     distinct_lower_bound,
-    energy,
     energy_report,
     gen_cylinder_extremal,
     gen_orthogonal_extremal,
@@ -44,6 +43,7 @@ from ddlab import (
     run_sweep,
     validate_constraints,
 )
+from ddlab.energy import energy
 
 
 @contextmanager

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import os
@@ -357,6 +358,22 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["stats"])  # missing --input
         assert exc.value.code == 2
+
+
+def test_package_has_no_assert():
+    # a failed assert would raise AssertionError, which no public function may
+    # raise; nor may a module raise or catch it by name
+    paths = sorted(Path(ddlab.cli.__file__).parent.glob("*.py"))
+    assert {"cli.py", "exact.py", "io.py"} <= {path.name for path in paths}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Name) and node.id == "AssertionError")
+        or (isinstance(node, ast.Attribute) and node.attr == "AssertionError")
+    ]
+    assert found == []
 
 
 def test_console_script_installed():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import importlib
 import json
 import math
 import os
@@ -12,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +25,6 @@ from ddlab import (
     SqDistMatrix,
     check_chain,
     distance_classes,
-    energy,
     energy_report,
     gen_cylinder_extremal,
     gen_orthogonal_extremal,
@@ -34,14 +33,20 @@ from ddlab import (
     sq_dist,
     translate_along_axis,
 )
-from ddlab.energy import NUMPY_MIN_PAIRS, _numpy_report, _stdlib_report, _table_dtype
+import ddlab.energy as energy_mod
+from ddlab.energy import NUMPY_MIN_PAIRS, _numpy_report, _stdlib_report, _table_dtype, energy
 from ddlab.exact import common_denominator, int_view
 from conftest import clustered_config, fractional_config, small_random_config
 
-# the module, not the function ddlab.energy that the package exports
-energy_mod = importlib.import_module("ddlab.energy")
-
 WORKED = Config.of(2, 1, [0, 2], [(0, 1), (1, 2)])
+
+
+def test_package_attribute_is_the_energy_module():
+    import ddlab
+
+    assert isinstance(ddlab.energy, types.ModuleType)
+    assert ddlab.energy is energy_mod
+    assert ddlab.energy.energy is energy
 
 
 class TestWorkedExample:

@@ -95,6 +95,13 @@ class TestPoints:
         assert p.k == 2
         assert p.axis_coord == 1
 
+    def test_constructor_takes_only_literals_of_the_grammar(self):
+        # the constructor and Point.of coerce through the same step
+        for make in (Point, lambda coords: Point.of(*coords)):
+            with pytest.raises(FormatError, match=r"bad rational literal: '1\.5'"):
+                make(("1.5", 0))
+            assert make(("3/2", 0)).coords == (Fraction(3, 2), 0)
+
 
 class TestSqDist:
     def test_planar_values(self):

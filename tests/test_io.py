@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,8 @@ from ddlab import (
     gen_orthogonal_extremal,
     parse_rational,
 )
+from ddlab.exact import parse_distinct
 from ddlab.io import (
-    _parse_literals,
     load_source,
     read_config,
     read_matrix,
@@ -77,6 +78,35 @@ class TestConfigFormat:
     def test_rejects(self, text):
         with pytest.raises(FormatError):
             read_config(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("k=2,c=1\nP1,1/0\nP2,1\n", "zero denominator: '1/0'"),
+            ("k=2,c=1\nP2,1\nP1,1/0\n", "P2 line needs 2 rationals, got 1: 'P2,1'"),
+            ("k=2,c=1\nP2,0,x\nQ,1\n", "bad rational literal: 'x'"),
+            ("k=2,c=1\nQ,1\nP2,0,x\n", "unknown line tag: 'Q'"),
+            ("k=2,c=1\nP1,1,1/0\nP1,x\n", "P1 line needs one rational: 'P1,1,1/0'"),
+            ("k=2,c=1\nP1,1\nP1,1\nP2,0,1/0\n", "zero denominator: '1/0'"),
+        ],
+    )
+    def test_first_error_in_file_order(self, text, message):
+        # as a line-by-line parse would report it; the increasing-P1 check comes after every literal
+        with pytest.raises(FormatError) as exc:
+            read_config(io.StringIO(text))
+        assert str(exc.value) == message
+
+    def test_parses_each_distinct_text_once_in_file_order(self, monkeypatch):
+        calls = []
+
+        def counting_parse(text):
+            calls.append(text)
+            return parse_rational(text)
+
+        monkeypatch.setattr(ddlab.io, "parse_rational", counting_parse)
+        cfg = read_config(io.StringIO("k=2,c=1\nP1,4/6\nP2,1,4/6\nP1,1\nP2,2/3,1\nP2,-0,2\n"))
+        assert calls == ["4/6", "1", "2/3", "-0", "2"]
+        assert cfg == Config.of(2, 1, ["2/3", 1], [(1, "2/3"), ("2/3", 1), (0, 2)])
 
 
 class TestMatrixFormat:
@@ -201,12 +231,11 @@ def test_matrix_stats_makes_no_fraction_per_entry(tmp_path, monkeypatch, capsys)
 
 
 def test_bad_literal_raises_every_time():
-    memo = {}
-    assert _parse_literals(["4/6", "2/3", "4/6"], memo) == (Fraction(2, 3),) * 3
-    for _ in range(2):
+    two_thirds = Fraction(2, 3)
+    assert parse_distinct(["4/6", "2/3", "4/6"], parse_rational) == {"4/6": two_thirds, "2/3": two_thirds}
+    for _ in range(2):  # no parse outlives a read, so a bad text fails alike each time
         with pytest.raises(FormatError, match="zero denominator: '1/0'"):
-            _parse_literals(["4/6", "1/0"], memo)
-    assert set(memo) == {"4/6", "2/3"}
+            read_config(io.StringIO("k=2,c=1\nP1,4/6\nP2,2/3,4/6\nP2,4/6,1/0\n"))
     with pytest.raises(FormatError, match="zero denominator"):
         read_matrix(io.StringIO("n=2,m=2\n4/6,2/3\n4/6,1/0\n"))
 
@@ -269,6 +298,61 @@ def test_memoized_matrix_read_matches_entrywise_parse(data):
     mat = read_matrix(io.StringIO(text))
     assert mat.entries == expected
     assert all(type(v) is Fraction for row in mat.entries for v in row)
+
+
+# Lines of a wrong shape for k, each with the error that reports it.
+_MALFORMED_LINES = {
+    "P1": "P1 line needs one rational: 'P1'",
+    "P1,1,1/0": "P1 line needs one rational: 'P1,1,1/0'",
+    "P2,x": "P2 line needs {k} rationals, got 1: 'P2,x'",
+    "P2,1,2,3,4": "P2 line needs {k} rationals, got 4: 'P2,1,2,3,4'",
+    "P3,1,2": "unknown line tag: 'P3'",
+    ",1": "unknown line tag: ''",
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_config_read_matches_linewise_parse(data):
+    # the reference is the line-by-line reader: each line's shape is checked,
+    # then its literals are parsed, before the next line is looked at
+    k = data.draw(st.integers(2, 3))
+    pool = data.draw(st.lists(st.sampled_from(_GOOD_LITERALS), min_size=1, max_size=4))
+    rows = []
+    for tag in data.draw(st.lists(st.sampled_from(["P1", "P2"]), max_size=6)):
+        rows.append([tag] + [data.draw(st.sampled_from(pool)) for _ in range(1 if tag == "P1" else k)])
+    for _ in range(data.draw(st.integers(0, 2)) if rows else 0):  # bad literals among good repeated ones
+        row = data.draw(st.sampled_from(rows))
+        row[data.draw(st.integers(1, len(row) - 1))] = data.draw(st.sampled_from(_BAD_LITERALS))
+    if data.draw(st.booleans()):
+        line = data.draw(st.sampled_from(sorted(_MALFORMED_LINES)))
+        rows.insert(data.draw(st.integers(0, len(rows))), line.split(","))
+    text = f"k={k},c=1\n" + "".join(",".join(row) + "\n" for row in rows)
+
+    p1, p2 = [], []
+    try:
+        for row in rows:
+            if row[0] not in ("P1", "P2") or len(row) != (2 if row[0] == "P1" else k + 1):
+                raise FormatError(_MALFORMED_LINES[",".join(row)].format(k=k))
+            values = tuple(parse_rational(t) for t in row[1:])
+            if row[0] == "P1":
+                p1.extend(values)
+            else:
+                p2.append(values)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            read_config(io.StringIO(text))
+        assert str(got.value) == str(exc)
+        return
+    if len(set(p1)) < len(p1):
+        with pytest.raises(FormatError, match="strictly increasing"):
+            read_config(io.StringIO(text))
+        return
+    cfg = read_config(io.StringIO(text))
+    assert cfg.p1_params == tuple(sorted(p1))
+    assert tuple(p.coords for p in cfg.p2_points) == tuple(p2)
+    coords = chain.from_iterable(p.coords for p in cfg.p2_points)
+    assert all(type(v) is Fraction for v in chain(cfg.p1_params, coords))
 
 
 # int() reads each header value below as a number that fits the body, so

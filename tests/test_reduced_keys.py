@@ -7,7 +7,6 @@ Fraction operator chains those functions used before, copied into the test.
 
 from __future__ import annotations
 
-import importlib
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -21,9 +20,8 @@ from ddlab import (
     oracle_incidences,
     sq_dist,
 )
+import ddlab.energy as energy_mod
 from ddlab.exact import rho_sq, sq_dist_rows
-
-energy_mod = importlib.import_module("ddlab.energy")  # ddlab.energy is the function
 
 VALUE = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
 

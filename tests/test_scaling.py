@@ -23,7 +23,6 @@ from ddlab import (
     SqDistMatrix,
     build_family,
     distance_classes,
-    energy,
     energy_report,
     format_rational,
     gen_random,
@@ -33,7 +32,7 @@ from ddlab import (
     rho_sq,
     validate_constraints,
 )
-from ddlab.energy import _numpy_report
+from ddlab.energy import _numpy_report, energy
 from ddlab.io import read_matrix, write_gamma_csv, write_matrix
 from conftest import fractional_config
 
