@@ -21,9 +21,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 
 from .errors import TooLargeError
+from .records import frozen_record
 
 LOG_CONVENTIONS = ("ln-clamped", "log2-clamped")
 
@@ -76,7 +76,7 @@ def regime(n: int, m: int, log_convention: str = "ln-clamped") -> Regime:
     return Regime.R4
 
 
-@dataclass(frozen=True)
+@frozen_record
 class BoundReport:
     n: int
     m: int

@@ -53,7 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("--k", type=int, default=2)
-    p_gen.add_argument("--c", type=int, default=1, help="declared multiplicity budget on the emitted config")
+    p_gen.add_argument(
+        "--c", type=int, default=None,
+        help="declared multiplicity budget on the emitted config (random generator only; default 1)",
+    )
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--coord-range", type=int, default=None)
     p_gen.add_argument("--offset", default="1", help="cylinder offset, a rational literal")
@@ -102,11 +105,13 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.c is not None and args.generator != "random":
+        raise DdlabError(f"--c applies only to the random generator, not {args.generator}")
     src = generate(
         args.generator, args.n, args.m, k=args.k, seed=args.seed,
         coord_range=args.coord_range, offset=args.offset,
     )
-    if args.generator == "random" and args.c != 1:
+    if args.c is not None:
         src = Config(k=src.k, c=args.c, p1_params=src.p1_params, p2_points=src.p2_points)
     buf = StringIO()
     dio.write_source(src, buf)

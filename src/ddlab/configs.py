@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -36,6 +35,7 @@ from .errors import (
     InvalidRangeError,
 )
 from .exact import Config, Point, Rational, _frac, int_view, rho_sq, scale_table
+from .records import frozen_record
 
 
 class Side(enum.Enum):
@@ -43,7 +43,7 @@ class Side(enum.Enum):
     NOT_APPLICABLE = "n/a"
 
 
-@dataclass(frozen=True)
+@frozen_record
 class PrunedConfig:
     """Result of a pruning pass: which points of base survived, and on which side.
 
@@ -125,7 +125,7 @@ def prune_general(cfg: Config) -> PrunedConfig:
     return PrunedConfig(base=cfg, kept_indices=kept, side=Side.NOT_APPLICABLE)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SqDistMatrix:
     """An n x m table of exact squared distances, with its construction noted.
 

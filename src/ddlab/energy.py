@@ -38,12 +38,12 @@ there, so smaller inputs never pay for loading it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
 from .configs import SqDistMatrix
 from .exact import Config, int_view, sq_dist_rows
+from .records import frozen_record
 
 Source = Union[Config, SqDistMatrix]
 
@@ -72,7 +72,7 @@ def _scaled_columns(src: Source) -> Iterator[Sequence[int]]:
             yield [(a - x) * (a - x) + r for a in view.params]
 
 
-@dataclass
+@frozen_record
 class DistanceClasses:
     """Map from each squared distance to the list of (i, j) pairs realizing it.
 
@@ -89,7 +89,7 @@ class DistanceClasses:
         return len(self.classes)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class EnergyReport:
     n: int
     m: int
@@ -111,7 +111,7 @@ class EnergyReport:
         }
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ChainReport:
     """Exact verdicts for the energy inequality chain at one (n, m, x, Q).
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from .errors import FormatError, excerpt
+from .records import frozen_record
 
 Rational = Union[int, Fraction]
 
@@ -69,7 +69,7 @@ def _frac(value: Rational | str) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Point:
     """A point of the second set, k >= 2 rational coordinates.
 
@@ -136,7 +136,7 @@ def sq_dist_rows(cfg: Config) -> Iterator[list[tuple[int, int]]]:
         yield row
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Config:
     """An experiment input: n collinear points against m arbitrary points.
 
@@ -221,7 +221,7 @@ def scale_table(
     return scale, tuple(tuple(map(to_int.__getitem__, row)) for row in rows)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class IntView:
     """A config scaled into ints by L = scale, the lcm of all coordinate denominators.
 
@@ -248,7 +248,7 @@ def int_view(cfg: Config) -> IntView:
     )
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Violation:
     """One multiplicity overflow: which condition, at which value, which points."""
 
@@ -257,7 +257,7 @@ class Violation:
     indices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ValidationReport:
     c: int
     violations: tuple[Violation, ...]

@@ -90,22 +90,23 @@ def read_matrix(stream: TextIO) -> SqDistMatrix:
 
     scale_table parses each distinct literal text once and maps every row's
     texts to ints through one dict, so no Fraction is made per entry. Errors
-    come in file order: the first bad literal or row length in the file.
+    come in file order: the first bad literal or row length among the first
+    n rows, then a missing or surplus row.
     """
     lines = [ln.strip() for ln in stream if ln.strip()]
     if not lines:
         raise FormatError("empty matrix file")
     n, m = _parse_header_pair(lines[0], "n", "m")
-    if len(lines) - 1 != n:
-        raise FormatError(f"expected {n} rows, got {len(lines) - 1}")
     rows = []
-    for ln in lines[1:]:
+    for ln in lines[1 : n + 1]:
         parts = ln.split(",")
         if len(parts) != m:
             scale_table(rows, parse_rational)  # a bad literal on an earlier row is reported first
             raise FormatError(f"expected {m} entries per row, got {len(parts)}: {excerpt(ln)}")
         rows.append(parts)
     scale, scaled = scale_table(rows, parse_rational)
+    if len(lines) - 1 != n:
+        raise FormatError(f"expected {n} rows, got {len(lines) - 1}")
     try:
         return SqDistMatrix(n=n, m=m, scale=scale, scaled=scaled, provenance="file")
     except ValueError as exc:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
@@ -50,9 +49,10 @@ from .errors import (
     NotIncidentError,
 )
 from .exact import Config, Rational, _frac, common_denominator, int_view, scaled_ints, validate_constraints
+from .records import frozen_record
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Hyperbola:
     """One curve (x + alpha)^2 - (y + beta)^2 + gamma = 0 with its source pair."""
 
@@ -77,7 +77,7 @@ class Hyperbola:
         return self.evaluate(s, t) == 0
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ParamGrid:
     """The n^2 grid of ordered axis-parameter pairs, stored implicitly."""
 
@@ -101,7 +101,7 @@ def _ordered_pairs(m: int) -> Iterator[tuple[int, int]]:
     return ((i, j) for i in range(m) for j in range(m) if i != j)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class HyperbolaFamily:
     """All m(m-1) ordered-pair curves of a config, in (p, q) index order.
 
@@ -165,7 +165,7 @@ def build_family(cfg: Config) -> HyperbolaFamily:
     return HyperbolaFamily(scale=view.scale, firsts=view.firsts, rhos=view.rhos)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class IncidenceReport:
     total: int
     positive_total: int
@@ -221,7 +221,7 @@ def incidences(grid: ParamGrid, family: HyperbolaFamily) -> IncidenceReport:
     )
 
 
-@dataclass(frozen=True)
+@frozen_record
 class AuditEntry:
     """One matched pair: quadruple indices (a, p, b, q) and the grid point on h_pq."""
 
@@ -230,7 +230,7 @@ class AuditEntry:
     curve_src: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class BijectionReport:
     energy_cross: int
     incidence_total: int
@@ -306,7 +306,7 @@ def classify_branch(s: Rational | str, t: Rational | str, h: Hyperbola) -> Branc
     return Branch.RIGHT if sv > -h.alpha else Branch.LEFT
 
 
-@dataclass(frozen=True)
+@frozen_record
 class IntersectionResult:
     """Real intersection count (0, 1 or 2) plus the rational points, if any.
 

@@ -14,7 +14,6 @@ CSV on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from itertools import product
 
 from . import bounds
@@ -22,6 +21,7 @@ from .configs import SqDistMatrix, gen_cylinder_extremal, gen_orthogonal_extrema
 from .energy import check_chain, energy_report
 from .errors import DdlabError
 from .exact import Config, Rational, validate_constraints
+from .records import frozen_record
 from .reduction import ParamGrid, build_family, incidences
 
 GENERATORS = ("random", "cylinder", "orthogonal")
@@ -46,7 +46,7 @@ def generate(
     return gen_orthogonal_extremal(n=n, m=m)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SweepSpec:
     n_list: tuple[int, ...]
     m_list: tuple[int, ...]
@@ -61,7 +61,7 @@ class SweepSpec:
             raise ValueError(f"unknown generator {self.generator!r}")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SweepRow:
     n: int
     m: int
@@ -83,7 +83,7 @@ class SweepRow:
     bijection_ok: bool | None = None
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
+CSV_COLUMNS = SweepRow.__match_args__
 
 
 def _cell(value) -> str:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
 import json
 import os
 import subprocess
@@ -15,7 +14,7 @@ import pytest
 
 import ddlab.cli
 import ddlab.reduction
-from ddlab import energy_report, gen_random
+from ddlab import IncidenceReport, energy_report, gen_random
 from ddlab.cli import main
 from ddlab.io import load_source, save_source
 from conftest import RADICAL_LINE
@@ -46,6 +45,16 @@ class TestGen:
         )
         assert code == 0
         assert load_source(path).c == 3
+
+    @pytest.mark.parametrize("generator", ["cylinder", "orthogonal"])
+    def test_c_with_a_fixed_generator_is_an_error(self, generator, tmp_path, capsys):
+        # cylinder declares c = m and orthogonal writes a matrix: --c would be ignored
+        path = tmp_path / "out.csv"
+        code = main(["gen", "--generator", generator, "--n", "2", "--m", "3", "--c", "1", "--output", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: --c applies only to the random generator, not {generator}\n"
+        assert captured.out == "" and not path.exists()
 
     def test_cylinder_to_stdout(self, capsys):
         code, out = run_cli(
@@ -188,7 +197,12 @@ class TestVerify:
         def injected(grid, family):
             rep = real(grid, family)
             assert rep.per_curve == (2, 2)
-            return dataclasses.replace(rep, per_curve=(1, 3))
+            return IncidenceReport(
+                total=rep.total,
+                positive_total=rep.positive_total,
+                negative_total=rep.negative_total,
+                per_curve=(1, 3),
+            )
 
         monkeypatch.setattr(ddlab.cli, "incidences", injected)
         code, out = run_cli("verify", "--input", str(path), capsys=capsys)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import math
 import random
@@ -251,7 +250,7 @@ def test_canonical_matrix_from_config(k, params, data):
         cfg.n, cfg.m, [[sq_dist(a, p) for p in cfg.p2_points] for a in cfg.p1_params], "config"
     )
     assert mat == by_value
-    assert _round_trip(mat) == dataclasses.replace(mat, provenance="file")
+    assert _round_trip(mat) == SqDistMatrix(mat.n, mat.m, mat.scale, mat.scaled, provenance="file")
 
 
 class TestGenRandom:

@@ -395,7 +395,8 @@ ISOLATION_SCRIPT = textwrap.dedent(
     for argv in runs:
         with contextlib.redirect_stdout(io.StringIO()):
             codes.append(main(argv))
-    print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+    loaded = {name: name in sys.modules for name in ("numpy", "dataclasses")}
+    print(json.dumps({"codes": codes, **loaded}))
     """
 )
 
@@ -410,4 +411,4 @@ def test_small_commands_never_import_numpy(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0] * 8, "numpy": False}
+    assert json.loads(proc.stdout) == {"codes": [0] * 8, "numpy": False, "dataclasses": False}

@@ -150,6 +150,10 @@ class TestMatrixFormat:
             ("n=2,m=2\n1\n1/0,2\n", "expected 2 entries per row, got 1: '1'"),
             ("n=2,m=2\n1,x\n2,1/0\n", "bad rational literal: 'x'"),
             ("n=2,m=2\n1,-1\n2,1/0\n", "zero denominator: '1/0'"),
+            ("n=3,m=2\n1,1/0\n", "zero denominator: '1/0'"),
+            ("n=3,m=2\n1\n", "expected 2 entries per row, got 1: '1'"),
+            ("n=3,m=2\n1,2\n", "expected 3 rows, got 1"),
+            ("n=1,m=2\n1,2\n3,1/0\n", "expected 1 rows, got 2"),
         ],
     )
     def test_first_error_in_file_order(self, text, message):
