@@ -9,11 +9,9 @@ of incidences between the n^2 grid of axis pairs and m(m-1) curves.
 """
 
 from ddlab import (
-    Branch,
     Config,
     ParamGrid,
     build_family,
-    classify_branch,
     energy_report,
     incidences,
     intersection_count,
@@ -47,19 +45,9 @@ for entry in audit.audit:
     s, t = entry.point
     print(f"  quadruple {entry.quadruple} -> grid point ({s}, {t}) on curve {entry.curve_src}")
 
-# gamma > 0 splits a curve into top and bottom branches, gamma < 0 into
-# left and right; each branch is the graph of a function.
-entry = audit.audit[0]
-h = next(c for c in fam.curves if c.src == entry.curve_src)
-s, t = entry.point
-name = classify_branch(s, t, h).value
-print("\ncurve", h.src, "has gamma =", h.gamma)
-print(f"grid point ({s}, {t}) sits on its {name} branch")
-
 # Any two distinct curves meet in at most two points, certified by the sign
 # of an exact discriminant along the radical line.
 a, b = fam.curves[0], fam.curves[1]
 result = intersection_count(a, b)
 crossings = [f"({x}, {y})" for x, y in result.points]
 print("\ncurves", a.src, "and", b.src, "meet in", result.count, "points:", crossings)
-print("branch names available:", [br.value for br in Branch])

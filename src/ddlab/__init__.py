@@ -52,7 +52,6 @@ from .errors import (
     IntersectionCheckError,
     InvalidCountError,
     InvalidRangeError,
-    NotIncidentError,
     TooLargeError,
 )
 from .exact import (
@@ -70,14 +69,12 @@ from .oracles import oracle_incidences, oracle_quadruples
 from .reduction import (
     AuditEntry,
     BijectionReport,
-    Branch,
     Hyperbola,
     HyperbolaFamily,
     IncidenceReport,
     IntersectionResult,
     ParamGrid,
     build_family,
-    classify_branch,
     incidences,
     intersection_count,
     verify_bijection,
@@ -90,7 +87,6 @@ __all__ = [
     "BijectionReport",
     "BijectionViolationError",
     "BoundReport",
-    "Branch",
     "ChainReport",
     "Config",
     "DdlabError",
@@ -109,7 +105,6 @@ __all__ = [
     "IntersectionResult",
     "InvalidCountError",
     "InvalidRangeError",
-    "NotIncidentError",
     "ParamGrid",
     "Point",
     "PrunedConfig",
@@ -126,7 +121,6 @@ __all__ = [
     "build_family",
     "check_chain",
     "clamped_log",
-    "classify_branch",
     "distance_classes",
     "distinct_lower_bound",
     "energy_report",

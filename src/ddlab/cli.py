@@ -28,7 +28,7 @@ from .errors import DdlabError, IntersectionCheckError, TooLargeError
 from .exact import Config, validate_constraints
 from .oracles import oracle_incidences, oracle_quadruples
 from .reduction import ParamGrid, _ordered_pairs, build_family, incidences, intersection_count
-from .sweep import GENERATORS, CSV_COLUMNS, SweepSpec, generate, rows_to_csv, run_sweep
+from .sweep import GENERATORS, CSV_COLUMNS, SweepSpec, check_options, generate, rows_to_csv, run_sweep
 
 SWEEP_COLUMNS_HELP = "CSV columns, in order: " + ", ".join(CSV_COLUMNS)
 
@@ -52,14 +52,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--generator", choices=GENERATORS, default="random")
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--m", type=int, required=True)
-    p_gen.add_argument("--k", type=int, default=2)
+    p_gen.add_argument("--k", type=int, default=2, help="dimension (random generator only)")
     p_gen.add_argument(
         "--c", type=int, default=None,
         help="declared multiplicity budget on the emitted config (random generator only; default 1)",
     )
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--coord-range", type=int, default=None)
-    p_gen.add_argument("--offset", default="1", help="cylinder offset, a rational literal")
+    p_gen.add_argument("--coord-range", type=int, default=None, help="coordinate range (random generator only)")
+    p_gen.add_argument("--offset", default=None, help="cylinder offset, a rational literal (default 1)")
     p_gen.add_argument("--output", default=None, help="output path (default: stdout)")
 
     p_stats = sub.add_parser("stats", help="energy report for a config or matrix file")
@@ -89,9 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-list", type=_int_list, required=True)
     p_sweep.add_argument("--m-list", type=_int_list, required=True)
     p_sweep.add_argument("--seeds", type=_int_list, default=(0,))
-    p_sweep.add_argument("--k", type=int, default=2)
+    p_sweep.add_argument("--k", type=int, default=2, help="dimension (random generator only)")
     p_sweep.add_argument("--generator", choices=GENERATORS, default="random")
-    p_sweep.add_argument("--coord-range", type=int, default=None)
+    p_sweep.add_argument("--coord-range", type=int, default=None, help="coordinate range (random generator only)")
     p_sweep.add_argument("--log-convention", choices=bounds.LOG_CONVENTIONS, default="ln-clamped")
     p_sweep.add_argument("--output", default=None, help="output path (default: stdout)")
     return parser
@@ -105,11 +105,10 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.c is not None and args.generator != "random":
-        raise DdlabError(f"--c applies only to the random generator, not {args.generator}")
+    check_options(args.generator, k=args.k, coord_range=args.coord_range, offset=args.offset, c=args.c)
     src = generate(
         args.generator, args.n, args.m, k=args.k, seed=args.seed,
-        coord_range=args.coord_range, offset=args.offset,
+        coord_range=args.coord_range, offset=1 if args.offset is None else args.offset,
     )
     if args.c is not None:
         src = Config(k=src.k, c=args.c, p1_params=src.p1_params, p2_points=src.p2_points)
@@ -153,11 +152,12 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if args.json:
         sys.stdout.write(json.dumps(rep.to_json_dict(), indent=2) + "\n")
     else:
-        half = len(family) // 2  # the mirror (i, j) -> (j, i) negates gamma
+        # the mirror (i, j) -> (j, i) negates gamma: half the curves, and half
+        # the incidences, lie on each sign
+        half, on_each = len(family) // 2, rep.total // 2
         sys.stdout.write(
             f"curves: {len(family)} (gamma>0: {half}, gamma<0: {half})\n"
-            f"incidences: {rep.total} (on gamma>0: {rep.positive_total}, "
-            f"on gamma<0: {rep.negative_total})\n"
+            f"incidences: {rep.total} (on gamma>0: {on_each}, on gamma<0: {on_each})\n"
         )
     return 0
 

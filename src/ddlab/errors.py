@@ -48,10 +48,6 @@ class BijectionViolationError(DdlabError):
     """Cross-column energy and incidence count disagree (implementation bug)."""
 
 
-class NotIncidentError(DdlabError):
-    """Branch classification was asked about a point not on the curve."""
-
-
 class IdenticalCurvesError(DdlabError):
     """Pairwise intersection needs two distinct curves."""
 

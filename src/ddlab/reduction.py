@@ -32,7 +32,6 @@ Fractions, only when their coordinates are rational.
 
 from __future__ import annotations
 
-import enum
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -46,7 +45,6 @@ from .errors import (
     DuplicateCurveError,
     IdenticalCurvesError,
     IntersectionCheckError,
-    NotIncidentError,
 )
 from .exact import Config, Rational, _frac, common_denominator, int_view, scaled_ints, validate_constraints
 from .records import frozen_record
@@ -62,9 +60,9 @@ class Hyperbola:
     src: tuple[int, int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
+        object.__setattr__(self, "alpha", _frac(self.alpha))
+        object.__setattr__(self, "beta", _frac(self.beta))
+        object.__setattr__(self, "gamma", _frac(self.gamma))
         if self.gamma == 0:
             raise DegenerateHyperbolaError(*self.src)
 
@@ -83,6 +81,9 @@ class ParamGrid:
 
     params: tuple[Fraction, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", tuple(map(_frac, self.params)))
+
     @classmethod
     def from_config(cls, cfg: Config) -> "ParamGrid":
         return cls(params=cfg.p1_params)
@@ -90,10 +91,6 @@ class ParamGrid:
     @property
     def n(self) -> int:
         return len(self.params)
-
-    @property
-    def size(self) -> int:
-        return len(self.params) ** 2
 
 
 def _ordered_pairs(m: int) -> Iterator[tuple[int, int]]:
@@ -168,14 +165,12 @@ def build_family(cfg: Config) -> HyperbolaFamily:
 @frozen_record
 class IncidenceReport:
     total: int
-    positive_total: int
-    negative_total: int
     per_curve: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
         return {
             "total": self.total,
-            "per_sign": {"pos": self.positive_total, "neg": self.negative_total},
+            "per_sign": {"pos": self.total // 2, "neg": self.total // 2},
             "per_curve": list(self.per_curve),
         }
 
@@ -212,13 +207,7 @@ def incidences(grid: ParamGrid, family: HyperbolaFamily) -> IncidenceReport:
         for i, j in permutations(points, 2):
             if i != j:
                 per_curve[i * (m - 1) + j - (j > i)] += 1
-    total = sum(per_curve)
-    return IncidenceReport(
-        total=total,
-        positive_total=total // 2,
-        negative_total=total // 2,
-        per_curve=tuple(per_curve),
-    )
+    return IncidenceReport(total=sum(per_curve), per_curve=tuple(per_curve))
 
 
 @frozen_record
@@ -280,30 +269,6 @@ def verify_bijection(cfg: Config, audit: bool = False) -> BijectionReport:
         if audit:
             entries = tuple(collected)
     return BijectionReport(energy_cross=q1, incidence_total=inc.total, audit=entries)
-
-
-class Branch(enum.Enum):
-    TOP = "top"
-    BOTTOM = "bottom"
-    LEFT = "left"
-    RIGHT = "right"
-
-
-def classify_branch(s: Rational | str, t: Rational | str, h: Hyperbola) -> Branch:
-    """Which branch of curve h carries the incident point (s, t).
-
-    For gamma > 0 the curve is two graphs over the s-axis: TOP where
-    t > -beta, BOTTOM where t < -beta. For gamma < 0 it is two graphs over
-    the t-axis: RIGHT where s > -alpha, LEFT where s < -alpha. Neither
-    dividing line can host an incidence. Raises for points off the curve.
-    """
-    sv = _frac(s)
-    tv = _frac(t)
-    if h.evaluate(sv, tv) != 0:
-        raise NotIncidentError(f"({sv}, {tv}) is not on the curve")
-    if h.gamma > 0:
-        return Branch.TOP if tv > -h.beta else Branch.BOTTOM
-    return Branch.RIGHT if sv > -h.alpha else Branch.LEFT
 
 
 @frozen_record

@@ -27,6 +27,29 @@ from .reduction import ParamGrid, build_family, incidences
 GENERATORS = ("random", "cylinder", "orthogonal")
 
 
+def check_options(
+    generator: str,
+    *,
+    k: int = 2,
+    coord_range: int | None = None,
+    offset: Rational | str | None = None,
+    c: int | None = None,
+) -> None:
+    """Raise DdlabError for an option that the generator would ignore.
+
+    A k other than 2, a coord range and a c shape only random configs, and
+    an offset only the cylinder; None means the option was not given.
+    """
+    for option, given, owner in (
+        ("--k other than 2", k != 2, "random"),
+        ("--coord-range", coord_range is not None, "random"),
+        ("--c", c is not None, "random"),
+        ("--offset", offset is not None, "cylinder"),
+    ):
+        if given and generator != owner:
+            raise DdlabError(f"{option} applies only to the {owner} generator, not {generator}")
+
+
 def generate(
     generator: str,
     n: int,
@@ -59,6 +82,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
+        check_options(self.generator, k=self.k, coord_range=self.coord_range)
 
 
 @frozen_record

@@ -28,6 +28,12 @@ def _restore_openblas_setting():
 RADICAL_LINE = Config.of(2, 1, [0, 1, 2, 3], [(0, 1), (1, 5), (2, 7)])
 
 
+def sign_split(per_curve, family) -> tuple[int, int]:
+    """Incidences on the family's curves with gamma > 0 and with gamma < 0."""
+    pos = sum(c for c, h in zip(per_curve, family.iter_curves()) if h.gamma > 0)
+    return pos, sum(per_curve) - pos
+
+
 def small_random_config(seed: int, max_nm: int = 12, ks: tuple[int, ...] = (2, 3, 4)) -> Config:
     """A c=1 random config with dims derived from the seed, always valid."""
     rng = random.Random(seed ^ 0x5EED)

@@ -46,15 +46,44 @@ class TestGen:
         assert code == 0
         assert load_source(path).c == 3
 
-    @pytest.mark.parametrize("generator", ["cylinder", "orthogonal"])
-    def test_c_with_a_fixed_generator_is_an_error(self, generator, tmp_path, capsys):
-        # cylinder declares c = m and orthogonal writes a matrix: --c would be ignored
+    @pytest.mark.parametrize(
+        "generator, option, rule",
+        [
+            pytest.param("cylinder", ("--c", "1"), "--c applies only to the random", id="cylinder"),
+            pytest.param("orthogonal", ("--c", "1"), "--c applies only to the random", id="orthogonal"),
+            pytest.param("cylinder", ("--k", "3"), "--k other than 2 applies only to the random", id="cylinder-k"),
+            pytest.param("orthogonal", ("--k", "3"), "--k other than 2 applies only to the random", id="orthogonal-k"),
+            pytest.param(
+                "cylinder", ("--coord-range", "50"), "--coord-range applies only to the random",
+                id="cylinder-coord-range",
+            ),
+            pytest.param(
+                "orthogonal", ("--coord-range", "50"), "--coord-range applies only to the random",
+                id="orthogonal-coord-range",
+            ),
+            pytest.param("random", ("--offset", "7"), "--offset applies only to the cylinder", id="random-offset"),
+            pytest.param(
+                "orthogonal", ("--offset", "7"), "--offset applies only to the cylinder", id="orthogonal-offset",
+            ),
+        ],
+    )
+    def test_c_with_a_fixed_generator_is_an_error(self, generator, option, rule, tmp_path, capsys):
+        # cylinder declares c = m and orthogonal writes a k-less matrix, so --c,
+        # --k and --coord-range would be ignored; only the cylinder reads --offset
         path = tmp_path / "out.csv"
-        code = main(["gen", "--generator", generator, "--n", "2", "--m", "3", "--c", "1", "--output", str(path)])
+        code = main(["gen", "--generator", generator, "--n", "2", "--m", "3", *option, "--output", str(path)])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err == f"error: --c applies only to the random generator, not {generator}\n"
+        assert captured.err == f"error: {rule} generator, not {generator}\n"
         assert captured.out == "" and not path.exists()
+
+    @pytest.mark.parametrize("generator", ["cylinder", "orthogonal"])
+    def test_default_options_with_a_fixed_generator_are_accepted(self, generator, capsys):
+        # an explicit --k 2 is the default, which every generator honors
+        code, out = run_cli("gen", "--generator", generator, "--n", "2", "--m", "3", "--k", "2", capsys=capsys)
+        default_code, default_out = run_cli("gen", "--generator", generator, "--n", "2", "--m", "3", capsys=capsys)
+        assert code == default_code == 0
+        assert out == default_out
 
     def test_cylinder_to_stdout(self, capsys):
         code, out = run_cli(
@@ -197,12 +226,7 @@ class TestVerify:
         def injected(grid, family):
             rep = real(grid, family)
             assert rep.per_curve == (2, 2)
-            return IncidenceReport(
-                total=rep.total,
-                positive_total=rep.positive_total,
-                negative_total=rep.negative_total,
-                per_curve=(1, 3),
-            )
+            return IncidenceReport(total=rep.total, per_curve=(1, 3))
 
         monkeypatch.setattr(ddlab.cli, "incidences", injected)
         code, out = run_cli("verify", "--input", str(path), capsys=capsys)
@@ -317,6 +341,18 @@ class TestSweep:
         )
         assert code == 0
         assert path.read_text().count("\n") == 2
+
+    @pytest.mark.parametrize("option", [("--k", "4"), ("--coord-range", "50")])
+    def test_option_a_fixed_generator_ignores_is_an_error(self, option, tmp_path, capsys):
+        path = tmp_path / "rows.csv"
+        code = main([
+            "sweep", "--n-list", "4", "--m-list", "4", "--generator", "orthogonal", *option,
+            "--output", str(path),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: {option[0]} ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not path.exists()
 
 
 class TestErrors:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from ddlab import (
     Config,
     FormatError,
+    Hyperbola,
     Point,
     format_rational,
     parse_rational,
@@ -96,11 +98,17 @@ class TestPoints:
         assert p.axis_coord == 1
 
     def test_constructor_takes_only_literals_of_the_grammar(self):
-        # the constructor and Point.of coerce through the same step
-        for make in (Point, lambda coords: Point.of(*coords)):
-            with pytest.raises(FormatError, match=r"bad rational literal: '1\.5'"):
-                make(("1.5", 0))
-            assert make(("3/2", 0)).coords == (Fraction(3, 2), 0)
+        # the constructor and Point.of coerce through the same step, and so does
+        # Hyperbola, whose alpha and beta stand in for the coords here
+        def hyperbola(coords):
+            h = Hyperbola(*coords, 1, (0, 1))
+            return (h.alpha, h.beta)
+
+        for make in (lambda coords: Point(coords).coords, lambda coords: Point.of(*coords).coords, hyperbola):
+            for bad in ("1.5", " 3", "1e2"):
+                with pytest.raises(FormatError, match=re.escape(f"bad rational literal: {bad!r}")):
+                    make((bad, 0))
+            assert make(("3/2", 0)) == (Fraction(3, 2), 0)
 
 
 class TestSqDist:

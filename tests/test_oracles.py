@@ -54,7 +54,7 @@ def test_incidence_oracle_guard():
     cfg = gen_random(n=2, m=33, k=2, seed=0, coord_range=200)
     family = build_family(cfg)
     big_grid = ParamGrid(params=tuple(Fraction(i) for i in range(100)))
-    assert big_grid.size * len(family) > INCIDENCE_GUARD
+    assert big_grid.n ** 2 * len(family) > INCIDENCE_GUARD
     with pytest.raises(TooLargeError):
         oracle_incidences(big_grid, family)
     assert "curves" not in family.__dict__  # refused before any curve was built

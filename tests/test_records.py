@@ -179,7 +179,7 @@ def test_defaults_fill_trailing_fields():
         SweepRow(1, 2, 2, generator="random")
 
 
-@pytest.mark.parametrize("name", ["Config", "Hyperbola", "Point", "SqDistMatrix", "SweepSpec"])
+@pytest.mark.parametrize("name", ["Config", "Hyperbola", "ParamGrid", "Point", "SqDistMatrix", "SweepSpec"])
 def test_post_init_runs_for_positional_and_keyword_calls(name, monkeypatch):
     cls = type(SAMPLES[name])
     args = _fields(SAMPLES[name])
@@ -207,6 +207,7 @@ def test_post_init_normalizes_and_validates_either_way():
             make()
     with pytest.raises(ValueError, match="unknown generator"):
         SweepSpec(n_list=(1,), m_list=(1,), seeds=(1,), generator="nope")
+    assert ParamGrid(("1/2", 3)) == ParamGrid(params=("1/2", 3)) == ParamGrid((Fraction(1, 2), Fraction(3)))
     mat = SqDistMatrix(1, 2, 4, ((2, 6),), "x")
     assert (mat.scale, mat.scaled) == (2, ((1, 3),))
 

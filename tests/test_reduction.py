@@ -1,4 +1,4 @@
-"""Curve family construction, incidence counting, branch splits, intersections."""
+"""Curve family construction, incidence counting, curve membership, intersections."""
 
 from __future__ import annotations
 
@@ -12,18 +12,16 @@ from hypothesis import strategies as st
 
 from ddlab import (
     BijectionViolationError,
-    Branch,
     Config,
     DegenerateHyperbolaError,
     DuplicateCurveError,
+    FormatError,
     Hyperbola,
     HyperbolaFamily,
     IdenticalCurvesError,
-    NotIncidentError,
     ParamGrid,
     Point,
     build_family,
-    classify_branch,
     energy_report,
     gen_orthogonal_extremal,
     gen_random,
@@ -36,7 +34,7 @@ from ddlab import (
     verify_bijection,
 )
 from ddlab.exact import int_view
-from conftest import RADICAL_LINE, fractional_config, small_random_config
+from conftest import RADICAL_LINE, fractional_config, sign_split, small_random_config
 
 WORKED = Config.of(2, 1, [0, 2], [(0, 1), (1, 2)])
 
@@ -174,11 +172,11 @@ class TestIncidences:
     def test_worked_example(self):
         family = build_family(WORKED)
         grid = ParamGrid.from_config(WORKED)
-        assert grid.size == 4
+        assert grid.n ** 2 == 4
         rep = incidences(grid, family)
         assert rep.total == 4
         assert rep.per_curve == (2, 2)
-        assert rep.positive_total == 2 and rep.negative_total == 2
+        assert sign_split(rep.per_curve, family) == (2, 2)
 
     def test_modes_and_oracle_agree(self):
         for seed in range(10):
@@ -192,14 +190,23 @@ class TestIncidences:
             per_curve = oracle_incidences(grid, family)
             assert fast.per_curve == per_curve
             assert sum(fast.per_curve) == fast.total
-            assert fast.positive_total == sum(c for c, h in zip(per_curve, family.curves) if h.gamma > 0)
-            assert fast.positive_total + fast.negative_total == fast.total
+            assert sign_split(per_curve, family) == (fast.total // 2, fast.total // 2)
 
     def test_fractional_coordinates(self):
         cfg = fractional_config(2, n=4, m=5, k=2)
         family = build_family(cfg)
         grid = ParamGrid.from_config(cfg)
         assert incidences(grid, family).per_curve == oracle_incidences(grid, family)
+
+    def test_grid_takes_literals(self):
+        # grid params coerce like Config's: literal text parses, bad text is a FormatError
+        family = build_family(WORKED)
+        literal = ParamGrid(params=("1/2", "2"))
+        assert literal == ParamGrid(params=(Fraction(1, 2), Fraction(2)))
+        rep = incidences(literal, family)
+        assert rep.per_curve == oracle_incidences(literal, family)
+        with pytest.raises(FormatError, match=r"bad rational literal: '1\.5'"):
+            ParamGrid(params=("1.5",))
 
     def test_json_shape(self):
         rep = incidences(ParamGrid.from_config(WORKED), build_family(WORKED))
@@ -237,44 +244,29 @@ class TestBijection:
 
 
 class TestBranches:
+    # contains accepts the points of both branches of a curve, and only those
     def test_top_and_bottom(self):
         h = Hyperbola(alpha=Fraction(0), beta=Fraction(-1), gamma=Fraction(3), src=(0, 1))
         assert h.contains(1, 3)
-        assert classify_branch(1, 3, h) is Branch.TOP
         assert h.contains(1, -1)
-        assert classify_branch(1, -1, h) is Branch.BOTTOM
 
     def test_not_incident(self):
         h = Hyperbola(alpha=Fraction(0), beta=Fraction(-1), gamma=Fraction(3), src=(0, 1))
-        with pytest.raises(NotIncidentError):
-            classify_branch(0, 0, h)
+        assert not h.contains(0, 0)
 
     def test_side_split(self):
         neg = Hyperbola(alpha=Fraction(-1), beta=Fraction(0), gamma=Fraction(-3), src=(1, 0))
         # (3, 1) lies on neg: (3-1)^2 - 1 - 3 = 0
         assert neg.contains(3, 1)
-        assert classify_branch(3, 1, neg) is Branch.RIGHT
         assert neg.contains(-1, 1)
-        assert classify_branch(-1, 1, neg) is Branch.LEFT
 
-    def test_every_incidence_classifies(self):
+    def test_contained_grid_points_count_q1(self):
+        # every grid point that a curve's own equation accepts, over all curves
         for seed in (3, 7):
             cfg = gen_random(n=6, m=5, k=2, seed=seed, coord_range=99)
             family = build_family(cfg)
             grid = ParamGrid.from_config(cfg)
-            seen = 0
-            for h in family.curves:
-                for s in grid.params:
-                    for t in grid.params:
-                        if not h.contains(s, t):
-                            continue
-                        seen += 1
-                        if h.gamma > 0:
-                            assert t != -h.beta
-                            assert classify_branch(s, t, h) in (Branch.TOP, Branch.BOTTOM)
-                        else:
-                            assert s != -h.alpha
-                            assert classify_branch(s, t, h) in (Branch.LEFT, Branch.RIGHT)
+            seen = sum(h.contains(s, t) for h in family.curves for s in grid.params for t in grid.params)
             assert seen == energy_report(cfg).energy_cross
 
 

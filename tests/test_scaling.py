@@ -34,7 +34,7 @@ from ddlab import (
 )
 from ddlab.energy import _numpy_report, energy
 from ddlab.io import read_matrix, write_gamma_csv, write_matrix
-from conftest import fractional_config
+from conftest import fractional_config, sign_split
 
 DENOMINATORS = (1, 2, 3, 5, 7, 12)
 
@@ -150,14 +150,14 @@ def test_join_per_curve_matches_oracle(cfg_family, foreign_params):
     assert own.total == energy_report(cfg).energy_cross
     # (s, t) on curve (i, j) iff (t, s) on curve (j, i), and the swap flips gamma's sign
     assert list(own.per_curve) == _mirror(own.per_curve, cfg.m)
-    assert own.positive_total == own.negative_total
+    assert sign_split(own.per_curve, family) == (own.total // 2, own.total // 2)
     # a grid of other denominators, possibly with repeated values
     for grid in (ParamGrid.from_config(cfg), ParamGrid(params=tuple(foreign_params))):
         fast = incidences(grid, family)
         per_curve = oracle_incidences(grid, family)
         assert fast.per_curve == per_curve
-        assert fast.positive_total == sum(c for c, h in zip(per_curve, family.curves) if h.gamma > 0)
-        assert fast.positive_total + fast.negative_total == fast.total == sum(fast.per_curve)
+        assert fast.total == sum(fast.per_curve)
+        assert sign_split(per_curve, family) == (fast.total // 2, fast.total // 2)
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["mirror-row-first", "mirror-row-second"])
@@ -189,7 +189,7 @@ def test_join_on_a_grid_the_family_scale_misses():
 def test_join_with_no_incidences():
     cfg = Config.of(k=2, c=1, p1_params=[0], p2_points=[(0, 1), (5, 3)])
     family = build_family(cfg)
-    zero = IncidenceReport(total=0, positive_total=0, negative_total=0, per_curve=(0, 0))
+    zero = IncidenceReport(total=0, per_curve=(0, 0))
     for grid in (ParamGrid.from_config(cfg), ParamGrid(params=(Fraction(1, 3),)), ParamGrid(params=())):
         assert incidences(grid, family) == zero
         assert oracle_incidences(grid, family) == zero.per_curve
@@ -198,9 +198,10 @@ def test_join_with_no_incidences():
 
 def test_join_at_400_matches_energy():
     cfg = gen_random(n=400, m=400, k=2, seed=7, coord_range=1600)
-    rep = incidences(ParamGrid.from_config(cfg), build_family(cfg))
+    family = build_family(cfg)
+    rep = incidences(ParamGrid.from_config(cfg), family)
     assert rep.total == energy_report(cfg).energy_cross > 0
-    assert rep.positive_total + rep.negative_total == rep.total
+    assert sign_split(rep.per_curve, family) == (rep.total // 2, rep.total // 2)
     assert len(rep.per_curve) == 400 * 399
 
 

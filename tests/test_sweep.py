@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from ddlab import SweepSpec, rows_to_csv, run_sweep
-from ddlab.errors import GenerationExhaustedError
+from ddlab.errors import DdlabError, GenerationExhaustedError
 from ddlab.sweep import CSV_COLUMNS, compute_row
 
 
@@ -77,6 +77,26 @@ def test_too_small_coord_range_fails_only_its_row():
 def test_unknown_generator_rejected():
     with pytest.raises(ValueError):
         SweepSpec(n_list=(2,), m_list=(2,), seeds=(0,), generator="spiral")
+
+
+@pytest.mark.parametrize(
+    "generator, options, rule",
+    [
+        ("cylinder", {"k": 3}, "--k other than 2 applies only to the random generator"),
+        ("orthogonal", {"k": 4}, "--k other than 2 applies only to the random generator"),
+        ("cylinder", {"coord_range": 50}, "--coord-range applies only to the random generator"),
+        ("orthogonal", {"coord_range": 50}, "--coord-range applies only to the random generator"),
+    ],
+)
+def test_options_a_fixed_generator_ignores_are_rejected(generator, options, rule):
+    # the spec refuses them when it is built, before any row is computed
+    with pytest.raises(DdlabError, match=f"^{rule}, not {generator}$"):
+        SweepSpec(n_list=(2,), m_list=(2,), seeds=(0,), generator=generator, **options)
+
+
+def test_options_the_generator_reads_are_accepted():
+    assert SweepSpec(n_list=(2,), m_list=(2,), seeds=(0,), k=3, coord_range=50).k == 3
+    assert SweepSpec(n_list=(2,), m_list=(2,), seeds=(0,), generator="cylinder", k=2).generator == "cylinder"
 
 
 def test_compute_row_direct():
