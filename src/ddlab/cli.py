@@ -13,7 +13,6 @@ or a verify check that raised and was reported as ERROR).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import Counter
@@ -27,7 +26,7 @@ from .energy import check_chain, distance_classes, energy, energy_report
 from .errors import DdlabError, IntersectionCheckError, TooLargeError
 from .exact import Config, validate_constraints
 from .oracles import oracle_incidences, oracle_quadruples
-from .reduction import ParamGrid, _ordered_pairs, build_family, incidences, intersection_count
+from .reduction import ParamGrid, _ordered_pairs, build_family, incidences
 from .sweep import GENERATORS, CSV_COLUMNS, SweepSpec, check_options, generate, rows_to_csv, run_sweep
 
 SWEEP_COLUMNS_HELP = "CSV columns, in order: " + ", ".join(CSV_COLUMNS)
@@ -97,6 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(payload) -> None:
+    import json  # only --json output needs it, so other runs skip the import
+
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -133,7 +138,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     src = dio.load_source(args.input)
     rep = energy_report(src)
     if args.json:
-        sys.stdout.write(json.dumps(rep.to_json_dict(), indent=2) + "\n")
+        _write_json(rep.to_json_dict())
     else:
         sys.stdout.write(_format_energy_text(rep))
     return 0
@@ -150,7 +155,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         dio.write_gamma_csv(family, buf)
         _emit(buf.getvalue(), args.output)
     if args.json:
-        sys.stdout.write(json.dumps(rep.to_json_dict(), indent=2) + "\n")
+        _write_json(rep.to_json_dict())
     else:
         # the mirror (i, j) -> (j, i) negates gamma: half the curves, and half
         # the incidences, lie on each sign
@@ -273,7 +278,7 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
         pairs = list(combinations(islice(family().iter_curves(), 40), 2))
         try:
             for h1, h2 in pairs:  # each call checks its points on both curves
-                intersection_count(h1, h2)
+                family().intersection_count(h1, h2)
         except IntersectionCheckError as exc:
             return "FAIL", str(exc)
         return "PASS", f"{len(pairs)} curve pairs, all meeting at most twice"
@@ -319,7 +324,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 for name, status, detail in checks
             ],
         }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(payload)
     else:
         for name, status, detail in checks:
             sys.stdout.write(f"{status} {name}: {detail}\n")
@@ -331,7 +336,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bound(args: argparse.Namespace) -> int:
     rep = bounds.distinct_lower_bound(args.n, args.m, args.log_convention)
     if args.json:
-        sys.stdout.write(json.dumps(rep.to_json_dict(), indent=2) + "\n")
+        _write_json(rep.to_json_dict())
     else:
         sys.stdout.write(
             f"n={rep.n} m={rep.m} regime={rep.regime.value}\n"
@@ -384,5 +389,22 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def run() -> None:
+    """Console entry point: main(), then exit without interpreter teardown.
+
+    Once stdout and stderr are flushed nothing is left to write, so os._exit
+    skips module finalization. A flush that fails (a reader closed the pipe)
+    takes the usual exit path, which reports it as before. Exceptions that
+    escape main, such as argparse's SystemExit, propagate unchanged.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -131,6 +131,13 @@ class HyperbolaFamily:
     def curves(self) -> tuple[Hyperbola, ...]:
         return tuple(self.iter_curves())
 
+    def intersection_count(self, h1: Hyperbola, h2: Hyperbola) -> IntersectionResult:
+        """intersection_count(h1, h2) for two curves of this family, with their
+        coefficients read from the int columns at the family's scale."""
+        (i, j), (k, l) = h1.src, h2.src
+        f, r = self.firsts, self.rhos
+        return _radical_walk(h1, h2, self.scale, [-f[i], -f[j], r[i] - r[j], -f[k], -f[l], r[k] - r[l]])
+
 
 def _scan_pairs(firsts: tuple[int, ...], rhos: tuple[int, ...]) -> None:
     """Raise for the first degenerate or repeated curve, scanning pairs i-major."""
@@ -301,7 +308,13 @@ def intersection_count(h1: Hyperbola, h2: Hyperbola) -> IntersectionResult:
     coeffs = (h1.alpha, h1.beta, h1.gamma, h2.alpha, h2.beta, h2.gamma)
     scale = math.lcm(*[v.denominator for v in coeffs])
     factors = (scale, scale, scale * scale) * 2
-    a1, b1, g1, a2, b2, g2 = [v.numerator * (f // v.denominator) for v, f in zip(coeffs, factors)]
+    return _radical_walk(h1, h2, scale, [v.numerator * (f // v.denominator) for v, f in zip(coeffs, factors)])
+
+
+def _radical_walk(h1: Hyperbola, h2: Hyperbola, scale: int, ints: list[int]) -> IntersectionResult:
+    """intersection_count on ints = (a1, b1, g1, a2, b2, g2) at any common scale L
+    that makes a = L alpha, b = L beta and g = L^2 gamma integral."""
+    a1, b1, g1, a2, b2, g2 = ints
     if (a1, b1, g1) == (a2, b2, g2):
         raise IdenticalCurvesError("needs two distinct curves")
     la = 2 * (a1 - a2)
@@ -309,7 +322,7 @@ def intersection_count(h1: Hyperbola, h2: Hyperbola) -> IntersectionResult:
     lc = a1 * a1 - a2 * a2 - b1 * b1 + b2 * b2 + g1 - g2
     d = la * la + lb * lb
     if d == 0:  # translates: the "line" is the contradiction 0 = lc != 0
-        return IntersectionResult(count=0, points=())
+        return IntersectionResult(0, ())
     p = a1 * d - lc * la  # d (X + a1) = p + u lb and d (Y + b1) = q - u la
     q = b1 * d - lc * lb
     qa = lb * lb - la * la
@@ -330,4 +343,4 @@ def intersection_count(h1: Hyperbola, h2: Hyperbola) -> IntersectionResult:
     for pt in points:
         if not (h1.contains(*pt) and h2.contains(*pt)):
             raise IntersectionCheckError(f"computed point {pt} fails the curve equations")
-    return IntersectionResult(count=count, points=tuple(sorted(points)))
+    return IntersectionResult(count, tuple(sorted(points)))

@@ -35,11 +35,13 @@ def check_options(
     offset: Rational | str | None = None,
     c: int | None = None,
 ) -> None:
-    """Raise DdlabError for an option that the generator would ignore.
+    """Raise DdlabError for a k below 2 or an option the generator would ignore.
 
     A k other than 2, a coord range and a c shape only random configs, and
     an offset only the cylinder; None means the option was not given.
     """
+    if k < 2:
+        raise DdlabError(f"--k must be at least 2, got {k}")
     for option, given, owner in (
         ("--k other than 2", k != 2, "random"),
         ("--coord-range", coord_range is not None, "random"),

@@ -342,7 +342,7 @@ class TestSweep:
         assert code == 0
         assert path.read_text().count("\n") == 2
 
-    @pytest.mark.parametrize("option", [("--k", "4"), ("--coord-range", "50")])
+    @pytest.mark.parametrize("option", [("--k", "4"), ("--coord-range", "50"), ("--k", "1")])
     def test_option_a_fixed_generator_ignores_is_an_error(self, option, tmp_path, capsys):
         path = tmp_path / "rows.csv"
         code = main([
@@ -353,6 +353,29 @@ class TestSweep:
         assert code == 2
         assert captured.err.startswith(f"error: {option[0]} ") and captured.err.count("\n") == 1
         assert captured.out == "" and not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["sweep", "--n-list", "0", "--m-list", "2", "--k", "1"], id="sweep-error-row"),
+        pytest.param(["sweep", "--n-list", "2", "--m-list", "2", "--k", "1"], id="sweep"),
+        pytest.param(
+            ["sweep", "--n-list", "2", "--m-list", "2", "--k", "0", "--generator", "cylinder"],
+            id="sweep-cylinder",
+        ),
+        pytest.param(["gen", "--n", "2", "--m", "2", "--k", "1"], id="gen"),
+    ],
+)
+def test_k_below_two_is_an_input_error_before_any_row(argv, capsys):
+    # refused before any row, even one that would carry its own error (n = 0),
+    # whichever generator is named
+    code = main(argv)
+    captured = capsys.readouterr()
+    k = argv[argv.index("--k") + 1]
+    assert code == 2
+    assert captured.err == f"error: --k must be at least 2, got {k}\n"
+    assert captured.out == ""
 
 
 class TestErrors:

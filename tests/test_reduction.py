@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations, islice
 
 import pytest
 import ddlab.reduction
@@ -333,6 +334,21 @@ class TestIntersections:
         for a, b in (((0, 1), (1, 2)), ((1, 0), (2, 1))):
             res = intersection_count(by_src[a], by_src[b])
             assert res.count == 0 and res.points == ()
+
+    def test_family_path_matches_intersection_count(self):
+        # the family reads each pair's coefficients from its int columns at its
+        # own scale, intersection_count from the curves' reduced Fractions
+        configs = [RADICAL_LINE, fractional_config(4, n=3, m=7, k=3)] + [
+            gen_random(n=4, m=7, k=k, seed=seed, coord_range=12) for k in (2, 3) for seed in range(3)
+        ]
+        with_points = 0
+        for cfg in configs:
+            family = build_family(cfg)
+            for h1, h2 in combinations(islice(family.iter_curves(), 40), 2):
+                res = family.intersection_count(h1, h2)
+                assert res == intersection_count(h1, h2), (h1.src, h2.src)
+                with_points += bool(res.points)
+        assert with_points > 0
 
     def test_family_pairs_cross_at_most_twice(self):
         cfg = gen_random(n=3, m=6, k=2, seed=21, coord_range=90)

@@ -6,7 +6,7 @@ import pytest
 
 from ddlab import SweepSpec, rows_to_csv, run_sweep
 from ddlab.errors import DdlabError, GenerationExhaustedError
-from ddlab.sweep import CSV_COLUMNS, compute_row
+from ddlab.sweep import CSV_COLUMNS, check_options, compute_row
 
 
 def test_csv_header():
@@ -92,6 +92,15 @@ def test_options_a_fixed_generator_ignores_are_rejected(generator, options, rule
     # the spec refuses them when it is built, before any row is computed
     with pytest.raises(DdlabError, match=f"^{rule}, not {generator}$"):
         SweepSpec(n_list=(2,), m_list=(2,), seeds=(0,), generator=generator, **options)
+
+
+@pytest.mark.parametrize("generator", ["random", "cylinder", "orthogonal"])
+@pytest.mark.parametrize("k", [1, 0, -3])
+def test_k_below_two_is_rejected_for_every_generator(generator, k):
+    with pytest.raises(DdlabError, match=f"^--k must be at least 2, got {k}$"):
+        SweepSpec(n_list=(0,), m_list=(2,), seeds=(0,), generator=generator, k=k)
+    with pytest.raises(DdlabError, match=f"^--k must be at least 2, got {k}$"):
+        check_options(generator, k=k)
 
 
 def test_options_the_generator_reads_are_accepted():
