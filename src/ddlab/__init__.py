@@ -41,7 +41,6 @@ from .energy import (
     energy_report,
 )
 from .errors import (
-    BijectionViolationError,
     DdlabError,
     DegenerateHyperbolaError,
     DuplicateCurveError,
@@ -67,8 +66,6 @@ from .exact import (
 )
 from .oracles import oracle_incidences, oracle_quadruples
 from .reduction import (
-    AuditEntry,
-    BijectionReport,
     Hyperbola,
     HyperbolaFamily,
     IncidenceReport,
@@ -77,15 +74,11 @@ from .reduction import (
     build_family,
     incidences,
     intersection_count,
-    verify_bijection,
 )
 from .sweep import CSV_COLUMNS, SweepRow, SweepSpec, compute_row, rows_to_csv, run_sweep
 
 __all__ = [
     "__version__",
-    "AuditEntry",
-    "BijectionReport",
-    "BijectionViolationError",
     "BoundReport",
     "ChainReport",
     "Config",
@@ -144,5 +137,4 @@ __all__ = [
     "sq_dist",
     "translate_along_axis",
     "validate_constraints",
-    "verify_bijection",
 ]

@@ -19,13 +19,14 @@ from collections import Counter
 from io import StringIO
 from itertools import combinations, islice
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__, bounds, io as dio
 from .configs import SqDistMatrix
 from .energy import check_chain, distance_classes, energy, energy_report
 from .errors import DdlabError, IntersectionCheckError, TooLargeError
 from .exact import Config, validate_constraints
-from .oracles import oracle_incidences, oracle_quadruples
+from .oracles import QUADRUPLE_GUARD, oracle_incidences, oracle_quadruples
 from .reduction import ParamGrid, _ordered_pairs, build_family, incidences
 from .sweep import GENERATORS, CSV_COLUMNS, SweepSpec, check_options, generate, rows_to_csv, run_sweep
 
@@ -186,6 +187,18 @@ def _once(compute):
     return get
 
 
+def _quadruple_images(cfg: Config, classes) -> Iterator[tuple]:
+    """The reduction's map, from distance classes: each cross quadruple
+    (i, j, k, l), with sq_dist(a_i, p_j) = sq_dist(a_k, p_l) and j != l, goes
+    to grid point (a_i, a_k) on curve (j, l)."""
+    a = cfg.p1_params
+    for pairs in classes.classes.values():
+        for i, j in pairs:
+            for k, l in pairs:
+                if j != l:
+                    yield (i, j, k, l), (a[i], a[k]), (j, l)
+
+
 def _verify_checks(src) -> list[tuple[str, str, str]]:
     """Each check is (name, status, detail) with status PASS/FAIL/SKIP/ERROR.
 
@@ -201,6 +214,7 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
         else sum(1 for col in zip(*src.scaled) if max(Counter(col).values()) > 2)
     )
     rep = _once(lambda: energy_report(src))
+    classes = _once(lambda: distance_classes(src))
     reducible = _once(
         lambda: isinstance(src, Config) and m >= 2 and validate_constraints(src, c=1).ok
     )
@@ -220,7 +234,7 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
         return "PASS", "no column repeats a value more than twice"
 
     def class_grouping():
-        if rep() == energy(distance_classes(src)):
+        if rep() == energy(classes()):
             return "PASS", "streamed and materialized grouping agree"
         return "FAIL", "streamed and materialized grouping disagree"
 
@@ -271,6 +285,14 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
         return "PASS" if total == fast().total else "FAIL", f"oracle {total} vs fast {fast().total}"
 
     def bijection():
+        # below the guard, every cross quadruple's image must lie on its curve
+        if n * m <= QUADRUPLE_GUARD:
+            curves: dict = {}  # built as the images reach them
+            for quad, (s, t), pair in _quadruple_images(src, classes()):
+                if pair not in curves:
+                    curves[pair] = family().curve(*pair)
+                if not curves[pair].contains(s, t):
+                    return "FAIL", f"quadruple {quad} maps to grid point ({s}, {t}) off curve {pair}"
         q1, total = rep().energy_cross, fast().total
         return "PASS" if total == q1 else "FAIL", f"Q1 = {q1} vs incidences = {total}"
 

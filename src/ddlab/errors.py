@@ -44,10 +44,6 @@ class DuplicateCurveError(DdlabError):
     """Two ordered pairs produced the same (alpha, beta, gamma) triple."""
 
 
-class BijectionViolationError(DdlabError):
-    """Cross-column energy and incidence count disagree (implementation bug)."""
-
-
 class IdenticalCurvesError(DdlabError):
     """Pairwise intersection needs two distinct curves."""
 

@@ -38,9 +38,7 @@ from functools import cached_property
 from itertools import permutations
 from typing import Iterator
 
-from .energy import distance_classes, energy_report
 from .errors import (
-    BijectionViolationError,
     DegenerateHyperbolaError,
     DuplicateCurveError,
     IdenticalCurvesError,
@@ -104,9 +102,9 @@ class HyperbolaFamily:
 
     Stored as the config's scaled int columns (exact.int_view): with L =
     scale, curve (i, j) has alpha = -firsts[i] / L, beta = -firsts[j] / L and
-    gamma = (rhos[i] - rhos[j]) / L^2. curves builds the Hyperbola values on
-    first access, iter_curves one at a time; the counting kernels read the
-    columns.
+    gamma = (rhos[i] - rhos[j]) / L^2. curve builds the Hyperbola of one
+    pair, iter_curves all of them one at a time and curves all of them on
+    first access; the counting kernels read the columns.
     """
 
     scale: int
@@ -120,12 +118,18 @@ class HyperbolaFamily:
     def __len__(self) -> int:
         return self.m * (self.m - 1)
 
+    @cached_property
+    def _axis(self) -> tuple[Fraction, ...]:  # each serves 2(m - 1) curves
+        return tuple(Fraction(-x, self.scale) for x in self.firsts)
+
+    def curve(self, i: int, j: int) -> Hyperbola:
+        """The Hyperbola of source pair (i, j), built from the int columns."""
+        axis, r = self._axis, self.rhos
+        return Hyperbola(axis[i], axis[j], Fraction(r[i] - r[j], self.scale * self.scale), (i, j))
+
     def iter_curves(self) -> Iterator[Hyperbola]:
         """The Hyperbola values in curves order, each built when it is reached."""
-        axis = [Fraction(-x, self.scale) for x in self.firsts]
-        sq = self.scale * self.scale
-        for i, j in _ordered_pairs(self.m):
-            yield Hyperbola(axis[i], axis[j], Fraction(self.rhos[i] - self.rhos[j], sq), (i, j))
+        return (self.curve(i, j) for i, j in _ordered_pairs(self.m))
 
     @cached_property
     def curves(self) -> tuple[Hyperbola, ...]:
@@ -215,67 +219,6 @@ def incidences(grid: ParamGrid, family: HyperbolaFamily) -> IncidenceReport:
             if i != j:
                 per_curve[i * (m - 1) + j - (j > i)] += 1
     return IncidenceReport(total=sum(per_curve), per_curve=tuple(per_curve))
-
-
-@frozen_record
-class AuditEntry:
-    """One matched pair: quadruple indices (a, p, b, q) and the grid point on h_pq."""
-
-    quadruple: tuple[int, int, int, int]
-    point: tuple[Fraction, Fraction]
-    curve_src: tuple[int, int]
-
-
-@frozen_record
-class BijectionReport:
-    energy_cross: int
-    incidence_total: int
-    audit: tuple[AuditEntry, ...] | None
-
-
-def verify_bijection(cfg: Config, audit: bool = False) -> BijectionReport:
-    """Check that cross-column energy equals the grid-curve incidence count.
-
-    The two sides come from separate code paths: energy_report groups the
-    squared-distance table, incidences joins the grid values lifted by the
-    family's int columns. Disagreement means an implementation bug and
-    raises, with a counterexample when the sizes allow one to be found.
-    With audit=True the explicit quadruple-to-incidence pairing is returned;
-    only then, or on disagreement, are the distance classes materialized.
-    """
-    q1 = energy_report(cfg).energy_cross
-    family = build_family(cfg)
-    grid = ParamGrid.from_config(cfg)
-    inc = incidences(grid, family)
-    entries: tuple[AuditEntry, ...] | None = None
-    if audit or q1 != inc.total:
-        collected: list[AuditEntry] = []
-        curve_at = {h.src: h for h in family.curves}
-        for pairs in distance_classes(cfg).classes.values():
-            if len(pairs) < 2:
-                continue
-            for i, j in pairs:
-                for k, l in pairs:
-                    if j == l:
-                        continue
-                    point = (cfg.p1_params[i], cfg.p1_params[k])
-                    h = curve_at[(j, l)]
-                    if not h.contains(*point):
-                        raise BijectionViolationError(
-                            f"quadruple ({i}, {j}, {k}, {l}) maps to grid point "
-                            f"{point} off curve {h.src}"
-                        )
-                    collected.append(
-                        AuditEntry(quadruple=(i, j, k, l), point=point, curve_src=(j, l))
-                    )
-        if q1 != inc.total:
-            raise BijectionViolationError(
-                f"cross-column energy {q1} != incidence total "
-                f"{inc.total} (audited {len(collected)} quadruples)"
-            )
-        if audit:
-            entries = tuple(collected)
-    return BijectionReport(energy_cross=q1, incidence_total=inc.total, audit=entries)
 
 
 @frozen_record

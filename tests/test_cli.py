@@ -14,7 +14,7 @@ import pytest
 
 import ddlab.cli
 import ddlab.reduction
-from ddlab import IncidenceReport, energy_report, gen_random
+from ddlab import Hyperbola, IncidenceReport, energy_report, gen_random
 from ddlab.cli import main
 from ddlab.io import load_source, save_source
 from conftest import RADICAL_LINE
@@ -233,6 +233,34 @@ class TestVerify:
         assert code == 1
         assert "FAIL family: curve (0, 1) has 1 incidences, its mirror (1, 0) has 3\n" in out
         assert "PASS bijection: Q1 = 4 vs incidences = 4\n" in out
+
+    def test_quadruple_off_its_curve_fails_bijection(self, tmp_path, capsys, monkeypatch):
+        # the worked example, with gamma of curve (0, 1) shifted in the curves
+        # that the audit builds; the joins and the intersections see the real family
+        path = tmp_path / "cfg.csv"
+        path.write_text("k=2,c=1\nP1,0\nP1,2\nP2,0,1\nP2,1,2\n", encoding="utf-8")
+        real = ddlab.cli.build_family
+
+        class Shifted:
+            def __init__(self, family):
+                self.family = family
+
+            def __getattr__(self, name):
+                return getattr(self.family, name)
+
+            def __len__(self):
+                return len(self.family)
+
+            def curve(self, i, j):
+                h = self.family.curve(i, j)
+                return Hyperbola(h.alpha, h.beta, h.gamma + 1, h.src) if (i, j) == (0, 1) else h
+
+        monkeypatch.setattr(ddlab.cli, "build_family", lambda cfg: Shifted(real(cfg)))
+        code, out = run_cli("verify", "--input", str(path), capsys=capsys)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[8] == "FAIL bijection: quadruple (1, 0, 0, 1) maps to grid point (2, 0) off curve (0, 1)"
+        assert [ln.split(" ", 1)[0] for ln in lines] == ["PASS"] * 8 + ["FAIL", "PASS"]
 
     def test_matrix_off_a_line_fails_constraints(self, tmp_path, capsys):
         # a column with a value three times cannot be distances from a line,

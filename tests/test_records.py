@@ -36,17 +36,15 @@ from ddlab import (
     intersection_count,
     prune_general,
     validate_constraints,
-    verify_bijection,
 )
 from ddlab.records import FrozenRecordError, frozen_record
 from conftest import RADICAL_LINE
 
 RECORD_NAMES = {
-    "AuditEntry", "BijectionReport", "BoundReport", "ChainReport", "Config",
-    "DistanceClasses", "EnergyReport", "Hyperbola", "HyperbolaFamily",
-    "IncidenceReport", "IntersectionResult", "ParamGrid", "Point",
-    "PrunedConfig", "SqDistMatrix", "SweepRow", "SweepSpec",
-    "ValidationReport", "Violation",
+    "BoundReport", "ChainReport", "Config", "DistanceClasses", "EnergyReport",
+    "Hyperbola", "HyperbolaFamily", "IncidenceReport", "IntersectionResult",
+    "ParamGrid", "Point", "PrunedConfig", "SqDistMatrix", "SweepRow",
+    "SweepSpec", "ValidationReport", "Violation",
 }
 
 
@@ -54,7 +52,6 @@ def _samples() -> dict[str, object]:
     """One instance of every exported record class, made by the library itself."""
     cfg = RADICAL_LINE
     family = build_family(cfg)
-    bijection = verify_bijection(Config.of(2, 1, [0, 2], [(0, 1), (1, 2)]), audit=True)  # I = 4
     energy = energy_report(cfg)
     spec = SweepSpec(n_list=(4,), m_list=(3,), seeds=(1,))
     found = {
@@ -64,8 +61,6 @@ def _samples() -> dict[str, object]:
         "Hyperbola": family.curves[1],
         "ParamGrid": ParamGrid.from_config(cfg),
         "IncidenceReport": incidences(ParamGrid.from_config(cfg), family),
-        "BijectionReport": bijection,
-        "AuditEntry": bijection.audit[0],
         "IntersectionResult": intersection_count(family.curves[0], family.curves[1]),
         "DistanceClasses": distance_classes(cfg),
         "EnergyReport": energy,

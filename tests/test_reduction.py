@@ -5,14 +5,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, islice
+from pathlib import Path
 
 import pytest
+import ddlab.cli
 import ddlab.reduction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ddlab import (
-    BijectionViolationError,
     Config,
     DegenerateHyperbolaError,
     DuplicateCurveError,
@@ -23,6 +24,7 @@ from ddlab import (
     ParamGrid,
     Point,
     build_family,
+    distance_classes,
     energy_report,
     gen_orthogonal_extremal,
     gen_random,
@@ -32,9 +34,10 @@ from ddlab import (
     rho_sq,
     sq_dist,
     validate_constraints,
-    verify_bijection,
 )
+from ddlab.cli import _quadruple_images, _verify_checks
 from ddlab.exact import int_view
+from ddlab.io import load_source
 from conftest import RADICAL_LINE, fractional_config, sign_split, small_random_config
 
 WORKED = Config.of(2, 1, [0, 2], [(0, 1), (1, 2)])
@@ -49,6 +52,10 @@ class TestBuildFamily:
             ((0, 1), 0, -1, -3),
             ((1, 0), -1, 0, 3),
         ]
+
+    def test_curve_of_one_pair(self):
+        family = build_family(fractional_config(3, 4, 5, 2))
+        assert [family.curve(*h.src) for h in family.curves] == list(family.curves)
 
     def test_expanded_form(self):
         # pair p=(1,2), q=(3,1): (x-1)^2 - (y-3)^2 + 3, i.e. x^2-y^2-2x+6y-5
@@ -219,13 +226,16 @@ class TestIncidences:
 
 
 class TestBijection:
+    # verify's bijection line walks the map quadruple -> (grid point, curve)
+    # that _quadruple_images reads off the distance classes
     def test_worked_example_audit(self):
-        rep = verify_bijection(WORKED, audit=True)
-        assert rep.energy_cross == rep.incidence_total == 4
-        entries = {(e.quadruple, e.point, e.curve_src) for e in rep.audit}
-        assert ((1, 0, 0, 1), (Fraction(2), Fraction(0)), (0, 1)) in entries
-        assert ((1, 0, 1, 1), (Fraction(2), Fraction(2)), (0, 1)) in entries
-        assert len(entries) == 4
+        images = list(_quadruple_images(WORKED, distance_classes(WORKED)))
+        assert ((1, 0, 0, 1), (Fraction(2), Fraction(0)), (0, 1)) in images
+        assert ((1, 0, 1, 1), (Fraction(2), Fraction(2)), (0, 1)) in images
+        assert len(set(images)) == len(images) == energy_report(WORKED).energy_cross == 4
+        family = build_family(WORKED)
+        assert all(family.curve(*pair).contains(*point) for _, point, pair in images)
+        assert ("bijection", "PASS", "Q1 = 4 vs incidences = 4") in _verify_checks(WORKED)
 
     def test_random_sweep(self):
         for seed in range(14):
@@ -233,15 +243,36 @@ class TestBijection:
             n = rng.randint(1, 8)
             m = rng.randint(2, 8)
             cfg = gen_random(n=n, m=m, k=rng.choice((2, 3)), seed=seed, coord_range=9 * (n + m))
-            rep = verify_bijection(cfg)
-            assert rep.energy_cross == rep.incidence_total
-            assert rep.audit is None
+            checks = {name: (status, detail) for name, status, detail in _verify_checks(cfg)}
+            q1 = energy_report(cfg).energy_cross
+            assert checks["bijection"] == ("PASS", f"Q1 = {q1} vs incidences = {q1}")
+
+    def test_lattice_configs_audit_every_quadruple(self, monkeypatch):
+        # random configs above have Q1 = 0; P1 = {0..N-1}, P2 = {(j, j + 1)}
+        # is valid at c = 1 with Q1 > 0, so the audit tests real images
+        audited = []
+
+        def counting(cfg, classes):
+            for image in _quadruple_images(cfg, classes):
+                audited.append(image)
+                yield image
+
+        monkeypatch.setattr(ddlab.cli, "_quadruple_images", counting)
+        for size in range(3, 9):
+            cfg = Config.of(2, 1, list(range(size)), [(j, j + 1) for j in range(size)])
+            audited.clear()
+            q1 = energy_report(cfg).energy_cross
+            assert ("bijection", "PASS", f"Q1 = {q1} vs incidences = {q1}") in _verify_checks(cfg)
+            assert len(audited) == q1 > 0
 
     def test_audit_points_are_incident(self):
-        cfg = gen_random(n=5, m=4, k=3, seed=8, coord_range=80)
-        rep = verify_bijection(cfg, audit=True)
-        assert len(rep.audit) == rep.energy_cross
-        assert rep.energy_cross == energy_report(cfg).energy_cross
+        recorded = load_source(Path(__file__).parent / "data" / "verify" / "fractional.csv")
+        for cfg in (gen_random(n=5, m=4, k=3, seed=8, coord_range=80), recorded):
+            images = list(_quadruple_images(cfg, distance_classes(cfg)))
+            assert len(images) == energy_report(cfg).energy_cross
+            family = build_family(cfg)
+            assert all(family.curve(*pair).contains(*point) for _, point, pair in images)
+        assert len(images) == 10  # the recorded config's Q1
 
 
 class TestBranches:

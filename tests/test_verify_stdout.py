@@ -14,12 +14,14 @@ columns (SKIP became PASS); every other line is unchanged.
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
+import ddlab.cli
 from ddlab.cli import main
-from ddlab.reduction import Hyperbola
+from ddlab.reduction import Hyperbola, _ordered_pairs
 from ddlab.io import load_source
 from ddlab.exact import validate_constraints
 from ddlab.oracles import INCIDENCE_GUARD, QUADRUPLE_GUARD
@@ -62,3 +64,24 @@ def test_intersections_build_only_the_sampled_curves(capsys, monkeypatch):
     assert main(["verify", "--input", str(DATA / "incidence-guard.csv")]) == 0
     assert capsys.readouterr().out == (DATA / "incidence-guard.txt").read_text(encoding="utf-8")
     assert 0 < len(built) <= 40
+
+
+def test_bijection_past_the_quadruple_guard_audits_no_quadruple(capsys, monkeypatch):
+    # n*m = 4000: the bijection line compares Q1 with I and builds no curve;
+    # the only curves built are the 40 that intersections samples, once each
+    built = []
+    post_init = Hyperbola.__post_init__
+
+    def counting(self):
+        built.append(self.src)
+        post_init(self)
+
+    def no_audit(cfg, classes):
+        raise AssertionError("audited past the guard")
+
+    monkeypatch.setattr(Hyperbola, "__post_init__", counting)
+    monkeypatch.setattr(ddlab.cli, "_quadruple_images", no_audit)
+    assert main(["verify", "--input", str(DATA / "incidence-guard.csv")]) == 0
+    assert capsys.readouterr().out == (DATA / "incidence-guard.txt").read_text(encoding="utf-8")
+    m = load_source(DATA / "incidence-guard.csv").m
+    assert built == list(islice(_ordered_pairs(m), 40))
