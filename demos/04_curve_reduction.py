@@ -31,11 +31,12 @@ positive = sum(1 for h in fam.curves if h.gamma > 0)
 print("positive gammas:", positive, " negative:", len(fam) - positive)
 
 # Count grid points on curves by the grouped join, and check every curve's
-# count against the oracle, which evaluates each curve at each grid point.
+# count against the oracle, which evaluates each curve at each grid point on
+# the config's own rationals, without the family.
 grid = ParamGrid.from_config(cfg)
 rep = incidences(grid, fam)
 print("\nincidences:", rep.total, " per curve:", rep.per_curve)
-assert rep.per_curve == oracle_incidences(grid, fam)
+assert rep.per_curve == oracle_incidences(grid, cfg)
 
 # The count is exactly Q1: a cross quadruple (i, j, k, l), two pairs of one
 # distance class with j != l, is the grid point (a_i, a_k) on curve (j, l).

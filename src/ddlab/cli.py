@@ -221,7 +221,7 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
     family = _once(lambda: build_family(src))
     grid = _once(lambda: ParamGrid.from_config(src))
     fast = _once(lambda: incidences(grid(), family()))
-    per_curve = _once(lambda: oracle_incidences(grid(), family()))
+    per_curve = _once(lambda: oracle_incidences(grid(), src))
 
     def constraints():
         if isinstance(src, Config):
@@ -269,7 +269,8 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
         return "FAIL", f"curve {broken} has {count[broken]} incidences, its mirror {mirror} has {count[mirror]}"
 
     def incidence_modes():
-        # the oracle is the naive evaluation of every curve at every grid point
+        # the oracle evaluates every curve at every grid point on the input's own
+        # rationals, not on the family it checks
         try:
             oracle = per_curve()
         except TooLargeError:

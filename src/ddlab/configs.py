@@ -34,7 +34,7 @@ from .errors import (
     InvalidCountError,
     InvalidRangeError,
 )
-from .exact import Config, Point, Rational, _frac, int_view, rho_sq, scale_table
+from .exact import Config, Point, Rational, _frac, rho_sq, scale_table
 from .records import frozen_record
 
 
@@ -181,12 +181,12 @@ class SqDistMatrix:
 
     @classmethod
     def from_config(cls, cfg: Config) -> "SqDistMatrix":
-        """The table of sq_dist(a, p), computed on the config's int_view.
+        """The table of sq_dist(a, p), computed on the config's scaled view.
 
         Each entry is its scaled squared distance over L^2, with no Fraction
         arithmetic.
         """
-        view = int_view(cfg)
+        view = cfg.view
         cols = tuple(zip(view.firsts, view.rhos))
         rows = tuple(tuple((a - x) * (a - x) + r for x, r in cols) for a in view.params)
         return cls(n=cfg.n, m=cfg.m, scale=view.scale**2, scaled=rows, provenance="config")
@@ -227,9 +227,11 @@ def gen_random(n: int, m: int, k: int, seed: int, coord_range: int) -> Config:
     Axis parameters are n distinct integers from 0..coord_range; each P2
     point draws k integer coordinates from -coord_range..coord_range and is
     redrawn while it repeats an axis coordinate or a squared axis distance
-    already in use. The draw budget is 100*m point attempts. Uses Python's
-    Mersenne Twister, so one seed gives one config; frozen fixtures, not
-    seeds, are what tests should rely on across implementations.
+    already in use. Draws and checks run on plain ints, and the Config's
+    Fractions are made once, at the end. The draw budget is 100*m point
+    attempts. Uses Python's Mersenne Twister, so one seed gives one config;
+    frozen fixtures, not seeds, are what tests should rely on across
+    implementations.
     """
     if n < 1 or m < 1:
         raise InvalidCountError("n and m must be positive")
@@ -238,28 +240,25 @@ def gen_random(n: int, m: int, k: int, seed: int, coord_range: int) -> Config:
     if coord_range < n + m:
         raise InvalidRangeError("coord_range must be at least n + m")
     rng = random.Random(seed)
-    params = tuple(sorted(Fraction(v) for v in rng.sample(range(coord_range + 1), n)))
+    params = sorted(rng.sample(range(coord_range + 1), n))
     budget = 100 * m
-    used_axis: set[Fraction] = set()
-    used_rho: set[Fraction] = set()
-    pts: list[Point] = []
-    while len(pts) < m:
+    used_axis: set[int] = set()
+    used_rho: set[int] = set()
+    rows: list[tuple[int, ...]] = []
+    while len(rows) < m:
         if budget <= 0:
             raise GenerationExhaustedError(
                 f"could not place {m} points within {100 * m} attempts"
             )
         budget -= 1
-        coords = tuple(
-            Fraction(rng.randint(-coord_range, coord_range)) for _ in range(k)
-        )
-        p = Point(coords)
-        r = rho_sq(p)
+        coords = tuple(rng.randint(-coord_range, coord_range) for _ in range(k))
+        r = sum(v * v for v in coords[1:])
         if coords[0] in used_axis or r in used_rho:
             continue
         used_axis.add(coords[0])
         used_rho.add(r)
-        pts.append(p)
-    return Config(k=k, c=1, p1_params=params, p2_points=tuple(pts))
+        rows.append(coords)
+    return Config.of(k=k, c=1, p1_params=params, p2_points=rows)
 
 
 def translate_along_axis(cfg: Config, delta: Rational | str) -> Config:

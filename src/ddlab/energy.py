@@ -13,8 +13,8 @@ check_chain verifies the Cauchy-Schwarz link between the distinct count x
 and the energy: x * Q >= (nm - x)^2 exactly, and when x <= nm/2 also
 4 * x * Q >= m^2 * n^2.
 
-energy_report counts on plain ints: it scales a config once with
-exact.int_view (every squared distance times L^2) and reads a matrix's
+energy_report counts on plain ints: it reads a config's scaled view,
+Config.view (every squared distance times L^2), and a matrix's
 canonical int table (SqDistMatrix.scaled) as it is, and one positive factor
 keeps every equality.
 distance_classes stays on the original rationals and checks that scaling:
@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
 from .configs import SqDistMatrix
-from .exact import Config, int_view, sq_dist_rows
+from .exact import Config, sq_dist_rows
 from .records import frozen_record
 
 Source = Union[Config, SqDistMatrix]
@@ -67,7 +67,7 @@ def _scaled_columns(src: Source) -> Iterator[Sequence[int]]:
     if isinstance(src, SqDistMatrix):
         yield from zip(*src.scaled)
     else:
-        view = int_view(src)
+        view = src.view
         for x, r in zip(view.firsts, view.rhos):
             yield [(a - x) * (a - x) + r for a in view.params]
 
@@ -226,7 +226,7 @@ def _numpy_report(src: Source) -> EnergyReport | None:
     if isinstance(src, SqDistMatrix):
         bound = max(map(max, src.scaled))
     else:
-        view = int_view(src)
+        view = src.view
         bound = (max(map(abs, view.params)) + max(map(abs, view.firsts))) ** 2 + max(view.rhos)
     dtype = _table_dtype(bound)
     if dtype is None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar, Union
 
@@ -109,11 +110,12 @@ def sq_dist(a_param: Rational | str, p: Point) -> Fraction:
     return d * d + rho_sq(p)
 
 
-def sq_dist_rows(cfg: Config) -> Iterator[list[tuple[int, int]]]:
+def sq_dist_rows(cfg: Config, params: Iterable[Rational] | None = None) -> Iterator[list[tuple[int, int]]]:
     """Each axis parameter's squared distances to every P2 point, as reduced pairs.
 
-    Row i holds sq_dist(p1_params[i], p) for each P2 point p, in order, as
-    its reduced (numerator, denominator): equal pairs iff equal values. Each
+    Row i holds sq_dist(a, p) for the i-th parameter a (of params, by
+    default cfg.p1_params) and each P2 point p, in order, as its reduced
+    (numerator, denominator): equal pairs iff equal values. Each
     value costs one gcd instead of a chain of Fraction operators. With
     a = an/ad, the point's first coordinate f = fn/fd and r = rho_sq = rn/rd,
     a - f = tn/td for tn = an fd - fn ad and td = ad fd, so
@@ -123,7 +125,7 @@ def sq_dist_rows(cfg: Config) -> Iterator[list[tuple[int, int]]]:
     for p in cfg.p2_points:
         f, r = p.coords[0], rho_sq(p)
         cols.append((f.numerator, f.denominator, r.numerator, r.denominator))
-    for a in cfg.p1_params:
+    for a in cfg.p1_params if params is None else params:
         an, ad = a.numerator, a.denominator
         row = []
         for fn, fd, rn, rd in cols:
@@ -189,6 +191,18 @@ class Config:
     def m(self) -> int:
         return len(self.p2_points)
 
+    @cached_property
+    def view(self) -> IntView:
+        """The config scaled by the common denominator of all its coordinates,
+        built on first use and shared by every int kernel that reads it."""
+        scale = common_denominator(chain(self.p1_params, *(p.coords for p in self.p2_points)))
+        return IntView(
+            scale=scale,
+            params=tuple(scaled_ints(self.p1_params, scale)),
+            firsts=tuple(scaled_ints((p.coords[0] for p in self.p2_points), scale)),
+            rhos=tuple(sum(v * v for v in scaled_ints(p.coords[1:], scale)) for p in self.p2_points),
+        )
+
 
 def common_denominator(values: Iterable[Fraction]) -> int:
     """The least L > 0 that makes v * L an integer for every value v (1 if none)."""
@@ -223,7 +237,7 @@ def scale_table(
 
 @frozen_record
 class IntView:
-    """A config scaled into ints by L = scale, the lcm of all coordinate denominators.
+    """A config scaled into ints (Config.view) by L = scale, the lcm of all coordinate denominators.
 
     params holds a * L, firsts the P2 axis coordinates x * L and rhos
     rho_sq * L^2 (an int, as transverse coordinates count towards L). Every
@@ -235,17 +249,6 @@ class IntView:
     params: tuple[int, ...]
     firsts: tuple[int, ...]
     rhos: tuple[int, ...]
-
-
-def int_view(cfg: Config) -> IntView:
-    """Scale a config by the common denominator of all its coordinates."""
-    scale = common_denominator(chain(cfg.p1_params, *(p.coords for p in cfg.p2_points)))
-    return IntView(
-        scale=scale,
-        params=tuple(scaled_ints(cfg.p1_params, scale)),
-        firsts=tuple(scaled_ints((p.coords[0] for p in cfg.p2_points), scale)),
-        rhos=tuple(sum(v * v for v in scaled_ints(p.coords[1:], scale)) for p in cfg.p2_points),
-    )
 
 
 @frozen_record
@@ -274,10 +277,10 @@ def validate_constraints(cfg: Config, c: int | None = None) -> ValidationReport:
     Condition 2: no squared axis distance t is shared by more than c points
     (rho_sq = t); cylinders around the axis are keyed by rho_sq since rho is
     nonnegative. c defaults to the config's own declared budget. Points are
-    grouped by their int_view columns, which keep every equality.
+    grouped by the columns of cfg.view, which keep every equality.
     """
     bound = cfg.c if c is None else c
-    view = int_view(cfg)
+    view = cfg.view
     by_axis: dict[int, list[int]] = {}
     by_rho: dict[int, list[int]] = {}
     for idx, (x, r) in enumerate(zip(view.firsts, view.rhos)):

@@ -14,7 +14,7 @@ only by sharing both axis coordinates, so the m(m-1) curves are distinct by
 construction. The mirror (i, j) -> (j, i) negates gamma: half have each sign.
 
 Curve building and incidence counting run on the config scaled into ints
-(exact.int_view), which scales (alpha, beta, gamma) by (L, L, L^2) and each
+(Config.view), which scales (alpha, beta, gamma) by (L, L, L^2) and each
 curve equation by L^2, keeping every incidence. Counting reads the reduction
 backwards: it groups the n m scaled values sq_dist(s, p) and pairs equal
 values of distinct points, in O(n m + I) for I incidences. Hyperbola values,
@@ -44,7 +44,7 @@ from .errors import (
     IdenticalCurvesError,
     IntersectionCheckError,
 )
-from .exact import Config, Rational, _frac, common_denominator, int_view, scaled_ints, validate_constraints
+from .exact import Config, Rational, _frac, common_denominator, scaled_ints, validate_constraints
 from .records import frozen_record
 
 
@@ -100,7 +100,7 @@ def _ordered_pairs(m: int) -> Iterator[tuple[int, int]]:
 class HyperbolaFamily:
     """All m(m-1) ordered-pair curves of a config, in (p, q) index order.
 
-    Stored as the config's scaled int columns (exact.int_view): with L =
+    Stored as the config's scaled int columns (Config.view): with L =
     scale, curve (i, j) has alpha = -firsts[i] / L, beta = -firsts[j] / L and
     gamma = (rhos[i] - rhos[j]) / L^2. curve builds the Hyperbola of one
     pair, iter_curves all of them one at a time and curves all of them on
@@ -167,7 +167,7 @@ def build_family(cfg: Config) -> HyperbolaFamily:
         raise TypeError("curve building needs a coordinate Config, not a matrix")
     if cfg.m < 2:
         raise ValueError("need at least two P2 points")
-    view = int_view(cfg)
+    view = cfg.view
     if not validate_constraints(cfg, c=1).ok:
         _scan_pairs(view.firsts, view.rhos)
     return HyperbolaFamily(scale=view.scale, firsts=view.firsts, rhos=view.rhos)

@@ -14,10 +14,13 @@ import pytest
 
 import ddlab.cli
 import ddlab.reduction
-from ddlab import Hyperbola, IncidenceReport, energy_report, gen_random
+from ddlab import Hyperbola, HyperbolaFamily, IncidenceReport, energy_report, gen_random
 from ddlab.cli import main
+from ddlab.exact import IntView
 from ddlab.io import load_source, save_source
 from conftest import RADICAL_LINE
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*argv: str, capsys) -> tuple[int, str]:
@@ -205,8 +208,8 @@ class TestVerify:
         path.write_text("k=2,c=1\nP1,0\nP1,2\nP2,0,1\nP2,1,2\n", encoding="utf-8")
         real = ddlab.cli.oracle_incidences
 
-        def injected(grid, family):
-            assert real(grid, family) == (2, 2)
+        def injected(grid, cfg):
+            assert real(grid, cfg) == (2, 2)
             return per_curve
 
         monkeypatch.setattr(ddlab.cli, "oracle_incidences", injected)
@@ -261,6 +264,21 @@ class TestVerify:
         lines = out.splitlines()
         assert lines[8] == "FAIL bijection: quadruple (1, 0, 0, 1) maps to grid point (2, 0) off curve (0, 1)"
         assert [ln.split(" ", 1)[0] for ln in lines] == ["PASS"] * 8 + ["FAIL", "PASS"]
+
+    def test_family_with_doubled_rho_fails_both_incidence_lines(self, capsys, monkeypatch):
+        # the oracle reads the config's own rationals, so a family built from
+        # wrong int columns disagrees with it on every curve that moved
+        real = ddlab.cli.build_family
+
+        def doubled(cfg):
+            family = real(cfg)
+            return HyperbolaFamily(family.scale, family.firsts, tuple(2 * r for r in family.rhos))
+
+        monkeypatch.setattr(ddlab.cli, "build_family", doubled)
+        code, out = run_cli("verify", "--input", str(DATA / "verify" / "fractional.csv"), capsys=capsys)
+        assert code == 1
+        assert "FAIL incidence-modes: hash 4 vs naive 10\n" in out
+        assert "FAIL incidence-oracle: oracle 10 vs fast 4\n" in out
 
     def test_matrix_off_a_line_fails_constraints(self, tmp_path, capsys):
         # a column with a value three times cannot be distances from a line,
@@ -325,6 +343,40 @@ class TestVerify:
         }
         assert len(calls) == 1  # the shared report is computed once
         assert {c["status"] for c in payload["checks"] if c["name"] not in errors} == {"PASS"}
+
+
+class TestScaleOnce:
+    """Every int kernel of a command reads one view per config."""
+
+    @pytest.fixture
+    def views(self, monkeypatch):
+        made = []
+        real = IntView.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(IntView, "__init__", counting)
+        return made
+
+    def test_view_is_cached(self):
+        cfg = gen_random(n=3, m=4, k=2, seed=1, coord_range=20)
+        assert cfg.view is cfg.view
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["verify", "--input", str(DATA / "verify" / "fractional.csv")], 1),
+            (["reduce", "--input", str(DATA / "reduce" / "fractional.csv")], 1),
+            (["sweep", "--n-list", "16,32,64", "--m-list", "16,32,64", "--seeds", "0"], 9),
+        ],
+        ids=["verify", "reduce", "sweep"],
+    )
+    def test_one_view_per_config(self, argv, count, views, capsys):
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(views) == count
 
 
 class TestBound:

@@ -35,7 +35,7 @@ from ddlab import (
 )
 import ddlab.energy as energy_mod
 from ddlab.energy import NUMPY_MIN_PAIRS, _numpy_report, _stdlib_report, _table_dtype, energy
-from ddlab.exact import common_denominator, int_view
+from ddlab.exact import common_denominator
 from conftest import clustered_config, fractional_config, small_random_config
 
 WORKED = Config.of(2, 1, [0, 2], [(0, 1), (1, 2)])
@@ -256,7 +256,7 @@ def near_limit(src, limit: int, above: bool, slack: int):
     # one far point at scaled squared axis distance limit / 2, half the
     # budget, and on the far side of the largest axis parameter:
     # (|top| + s)^2 + limit / 2 is both the bound and the largest table entry
-    view = int_view(src)
+    view = src.view
     top = max(view.params, key=abs)
     rho = limit >> 1
     s = math.isqrt(limit - 1 - rho) - abs(top) - slack + (slack + 1 if above else 0)

@@ -56,7 +56,7 @@ def test_incidence_oracle_guard():
     big_grid = ParamGrid(params=tuple(Fraction(i) for i in range(100)))
     assert big_grid.n ** 2 * len(family) > INCIDENCE_GUARD
     with pytest.raises(TooLargeError):
-        oracle_incidences(big_grid, family)
+        oracle_incidences(big_grid, cfg)
     assert "curves" not in family.__dict__  # refused before any curve was built
 
 

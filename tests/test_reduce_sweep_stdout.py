@@ -1,4 +1,4 @@
-"""ddlab reduce and sweep outputs, pinned byte for byte.
+"""ddlab gen, reduce and sweep outputs, pinned byte for byte.
 
 tests/data/reduce holds three configs (<name>.csv) with the reduce text
 stdout (<name>.txt), the --json stdout (<name>.json, whose per_curve lists
@@ -8,6 +8,8 @@ coordinate range (134 incidences), a k=3 config with denominators 30 from a
 scale of 1/6 and an axis shift of 1/5 (26 incidences) and the radical-line
 fixture (none). tests/data/sweep/grid.csv is the CSV of SWEEP_ARGV. All
 were recorded before the incidence count became a grouped join.
+tests/data/gen holds the stdout of each GEN_ARGV entry, recorded while
+gen_random still drew its coordinates as Fractions.
 """
 
 from __future__ import annotations
@@ -25,6 +27,18 @@ from conftest import RADICAL_LINE
 DATA = Path(__file__).parent / "data"
 REDUCE_INPUTS = ("random-k2", "fractional", "radical-line")
 SWEEP_ARGV = ["sweep", "--n-list", "4,9,16", "--m-list", "3,8", "--seeds", "0,1", "--coord-range", "24"]
+GEN_ARGV = {
+    "random-k3": ["--n", "5", "--m", "4", "--k", "3", "--seed", "8", "--coord-range", "80"],
+    # 21 point draws for 6 points: 15 are rejected for a repeated axis
+    # coordinate or squared axis distance
+    "random-rejections": ["--n", "3", "--m", "6", "--coord-range", "9", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("name", GEN_ARGV)
+def test_gen_random_is_pinned(name, capsys):
+    assert main(["gen"] + GEN_ARGV[name]) == 0
+    assert capsys.readouterr().out == (DATA / "gen" / f"{name}.csv").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", REDUCE_INPUTS)

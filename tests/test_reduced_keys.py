@@ -95,7 +95,7 @@ def test_rows_are_reduced_squared_distances(cfg):
 def test_oracle_incidences_match_fraction_reference(cfg, params):
     family = build_family(cfg)
     grid = ParamGrid.from_config(cfg) if params is None else ParamGrid(params=tuple(sorted(params)))
-    assert oracle_incidences(grid, family) == reference_incidences(grid, family)
+    assert oracle_incidences(grid, cfg) == reference_incidences(grid, family)
 
 
 def test_distance_classes_build_one_fraction_per_class(monkeypatch):

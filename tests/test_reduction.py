@@ -36,7 +36,6 @@ from ddlab import (
     validate_constraints,
 )
 from ddlab.cli import _quadruple_images, _verify_checks
-from ddlab.exact import int_view
 from ddlab.io import load_source
 from conftest import RADICAL_LINE, fractional_config, sign_split, small_random_config
 
@@ -122,7 +121,7 @@ class TestBuildFamily:
 
 def _scanned_family(cfg: Config) -> HyperbolaFamily:
     """build_family as it was before the c = 1 exit: every pair, i-major."""
-    view = int_view(cfg)
+    view = cfg.view
     firsts, rhos = view.firsts, view.rhos
     seen = {}
     for i in range(cfg.m):
@@ -195,7 +194,7 @@ class TestIncidences:
             family = build_family(cfg)
             grid = ParamGrid.from_config(cfg)
             fast = incidences(grid, family)
-            per_curve = oracle_incidences(grid, family)
+            per_curve = oracle_incidences(grid, cfg)
             assert fast.per_curve == per_curve
             assert sum(fast.per_curve) == fast.total
             assert sign_split(per_curve, family) == (fast.total // 2, fast.total // 2)
@@ -204,7 +203,7 @@ class TestIncidences:
         cfg = fractional_config(2, n=4, m=5, k=2)
         family = build_family(cfg)
         grid = ParamGrid.from_config(cfg)
-        assert incidences(grid, family).per_curve == oracle_incidences(grid, family)
+        assert incidences(grid, family).per_curve == oracle_incidences(grid, cfg)
 
     def test_grid_takes_literals(self):
         # grid params coerce like Config's: literal text parses, bad text is a FormatError
@@ -212,7 +211,7 @@ class TestIncidences:
         literal = ParamGrid(params=("1/2", "2"))
         assert literal == ParamGrid(params=(Fraction(1, 2), Fraction(2)))
         rep = incidences(literal, family)
-        assert rep.per_curve == oracle_incidences(literal, family)
+        assert rep.per_curve == oracle_incidences(literal, WORKED)
         with pytest.raises(FormatError, match=r"bad rational literal: '1\.5'"):
             ParamGrid(params=("1.5",))
 

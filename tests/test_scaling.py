@@ -95,7 +95,7 @@ def test_int_kernels_match_rational_references(cfg, foreign_params):
     # the config's own grid, then one whose denominators the family's scale misses
     for grid in (ParamGrid.from_config(cfg), ParamGrid(params=tuple(sorted(foreign_params)))):
         fast = incidences(grid, family)
-        assert fast.per_curve == oracle_incidences(grid, family)
+        assert fast.per_curve == oracle_incidences(grid, cfg)
     assert incidences(ParamGrid.from_config(cfg), family).total == rep.energy_cross
 
 
@@ -154,7 +154,7 @@ def test_join_per_curve_matches_oracle(cfg_family, foreign_params):
     # a grid of other denominators, possibly with repeated values
     for grid in (ParamGrid.from_config(cfg), ParamGrid(params=tuple(foreign_params))):
         fast = incidences(grid, family)
-        per_curve = oracle_incidences(grid, family)
+        per_curve = oracle_incidences(grid, cfg)
         assert fast.per_curve == per_curve
         assert fast.total == sum(fast.per_curve)
         assert sign_split(per_curve, family) == (fast.total // 2, fast.total // 2)
@@ -170,7 +170,7 @@ def test_join_counts_a_value_taken_twice_by_one_row(order):
     grid = ParamGrid.from_config(cfg)
     rep = incidences(grid, family)
     assert rep.per_curve == (2, 2)
-    assert rep.per_curve == oracle_incidences(grid, family)
+    assert rep.per_curve == oracle_incidences(grid, cfg)
     assert rep.total == energy_report(cfg).energy_cross == 4
 
 
@@ -182,7 +182,7 @@ def test_join_on_a_grid_the_family_scale_misses():
     fifths = ParamGrid(params=tuple(Fraction(a, 5) for a in range(-20, 21)))
     integers = ParamGrid(params=tuple(Fraction(a) for a in range(-4, 5)))
     rep = incidences(fifths, family)
-    assert rep.per_curve == oracle_incidences(fifths, family)
+    assert rep.per_curve == oracle_incidences(fifths, cfg)
     assert rep.total > incidences(integers, family).total > 0
 
 
@@ -192,7 +192,7 @@ def test_join_with_no_incidences():
     zero = IncidenceReport(total=0, per_curve=(0, 0))
     for grid in (ParamGrid.from_config(cfg), ParamGrid(params=(Fraction(1, 3),)), ParamGrid(params=())):
         assert incidences(grid, family) == zero
-        assert oracle_incidences(grid, family) == zero.per_curve
+        assert oracle_incidences(grid, cfg) == zero.per_curve
     assert energy_report(cfg).energy_cross == 0
 
 
