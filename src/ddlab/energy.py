@@ -30,9 +30,9 @@ Python ints keeps every intermediate value below 2^63; otherwise
 energy_report falls back to the stdlib kernel. The table is int32 when
 that bound is below 2^31 and int64 otherwise; a matrix's table is filled
 column-major straight from its int rows. Beside it the kernel holds
-one bool mask of the same shape and reads it a block at a time, so its
-working set is about itemsize + 1 bytes per pair. numpy is imported only
-there, so smaller inputs never pay for loading it.
+only block-sized scratch: it marks run starts one block at a time, so its
+working set is about itemsize bytes per pair plus a fixed few hundred kB.
+numpy is imported only there, so smaller inputs never pay for loading it.
 """
 
 from __future__ import annotations
@@ -57,9 +57,13 @@ Source = Union[Config, SqDistMatrix]
 NUMPY_MIN_PAIRS = 1 << 18
 _INT32_LIMIT = 1 << 31
 _INT64_LIMIT = 1 << 63
-# Entries of the run-start mask that _run_length_counts reads per step; its
-# scratch arrays stay at a few hundred kB whatever the table size.
-_RUN_BLOCK = 1 << 16
+# Table entries that _run_length_counts marks and counts per step; its
+# scratch arrays stay at a few hundred kB whatever the table size. Chosen
+# from a sweep on a random 1200x1200 config (int32, 2 cores, numpy 2.4.6;
+# kernel time, traced peak per pair): 2^16 took 32.2 ms at 5.14 B/pair,
+# 2^15 30.5 ms at 4.57, 2^14 31.2 ms at 4.29 and 2^13 33.1 ms at 4.14; a
+# bool run-start mask of the whole table took 32.0 ms at 6.09.
+_RUN_BLOCK = 1 << 14
 
 
 def _scaled_columns(src: Source) -> Iterator[Sequence[int]]:
@@ -219,9 +223,8 @@ def _numpy_report(src: Source) -> EnergyReport | None:
     difference, square and sum, and picks the table's dtype: int32 below
     2^31, int64 below 2^63 (_table_dtype). Returns None, before importing
     anything, when the bound is not below 2^63, and None when numpy cannot
-    be imported. Besides the table the kernel holds one bool run-start mask
-    of its size; the runs are counted a block at a time, so nothing else of
-    size n*m is allocated.
+    be imported. The runs are marked and counted a block at a time, so
+    nothing but the table has size n*m.
     """
     if isinstance(src, SqDistMatrix):
         bound = max(map(max, src.scaled))
@@ -246,33 +249,35 @@ def _numpy_report(src: Source) -> EnergyReport | None:
         np.multiply(table, table, out=table)
         table += np.array(view.rhos, dtype=dtype)[:, None]
     flat = table.reshape(-1)
-    starts = np.empty(flat.size, dtype=bool)
     table.sort(axis=1)
-    q0 = sum(c * (c - 1) * k for c, k in _run_length_counts(np, flat, starts, src.n))
+    q0 = sum(c * (c - 1) * k for c, k in _run_length_counts(np, flat, src.n))
     flat.sort()
-    hist = _run_length_counts(np, flat, starts, flat.size)
+    hist = _run_length_counts(np, flat, flat.size)
     return _report(src, sum(k for _, k in hist), q0, hist)
 
 
-def _run_length_counts(np, flat, starts, row: int) -> list[tuple[int, int]]:
+def _run_length_counts(np, flat, row: int) -> list[tuple[int, int]]:
     """(run length, how many runs) for the runs of equal values in each
     sorted row of `row` entries of flat, as Python ints.
 
-    starts is a scratch bool buffer of flat's size; it marks where runs
-    begin (a run never crosses a row boundary) and is then read _RUN_BLOCK
-    entries at a time. Inside a block the gaps between run starts are
-    shorter than the block and go to np.bincount; the gap back to an earlier
-    block's last start, and the final run, can be as long as flat and are
-    counted one by one.
+    Run starts are marked _RUN_BLOCK entries at a time in one block-sized
+    bool buffer: where an entry differs from the one before it, and at each
+    row boundary (a run never crosses one). Inside a block the gaps between
+    run starts are shorter than the block and go to np.bincount; the gap
+    back to an earlier block's last start, and the final run, can be as
+    long as flat and are counted one by one.
     """
-    starts[0] = True
-    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
-    starts[::row] = True
+    starts = np.empty(_RUN_BLOCK, dtype=bool)
     short = np.zeros(_RUN_BLOCK, dtype=np.int64)
     long: Counter = Counter()
     prev = 0
     for lo in range(0, flat.size, _RUN_BLOCK):
-        first = np.flatnonzero(starts[lo : lo + _RUN_BLOCK])
+        hi = min(lo + _RUN_BLOCK, flat.size)
+        mark = starts[: hi - lo]
+        new = max(lo, 1)  # index 0 has no predecessor; it starts a row
+        np.not_equal(flat[new:hi], flat[new - 1 : hi - 1], out=mark[new - lo :])
+        mark[(-lo) % row :: row] = True
+        first = np.flatnonzero(mark)
         if first.size:
             first += lo
             long[int(first[0]) - prev] += 1

@@ -318,8 +318,9 @@ def test_numpy_kernel_matches_stdlib(src, limit, near, slack):
 @settings(max_examples=60, deadline=None)
 @given(kernel_sources())
 def test_numpy_kernel_across_run_blocks(block, src):
-    # blocks smaller than a row: runs cross block edges and some blocks
-    # hold no run start
+    # blocks smaller than a row: runs cross block edges, some blocks hold
+    # no run start, and each block marks the row boundaries it holds at
+    # its own offset
     pytest.importorskip("numpy")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(energy_mod, "_RUN_BLOCK", block)
@@ -329,9 +330,9 @@ def test_numpy_kernel_across_run_blocks(block, src):
 
 @pytest.mark.parametrize("coord_range, dtype", [(9600, "int32"), (1 << 20, "int64")])
 def test_numpy_kernel_working_set(coord_range, dtype):
-    # the table plus a bool mask of its size, with room for the per-block
-    # scratch: at most 1.5 * (itemsize + 1) traced bytes per pair, on the
-    # config and on its matrix, whose int table is built before tracing
+    # the table plus block-sized scratch only: at most itemsize + 0.5 traced
+    # bytes per pair, on the config and on its matrix, whose int table is
+    # built before tracing; a bool mask of the table's size would exceed it
     np = pytest.importorskip("numpy")  # loaded before tracing starts
     cfg = gen_random(n=1200, m=1200, k=2, seed=7, coord_range=coord_range)
     pairs = cfg.n * cfg.m
@@ -345,7 +346,7 @@ def test_numpy_kernel_working_set(coord_range, dtype):
                 tracemalloc.stop()
         assert chosen == [dtype]
         assert rep is not None
-        assert peak <= 1.5 * (np.dtype(dtype).itemsize + 1) * pairs, f"{type(src).__name__}: {peak / pairs:.1f} B/pair"
+        assert peak <= (np.dtype(dtype).itemsize + 0.5) * pairs, f"{type(src).__name__}: {peak / pairs:.1f} B/pair"
 
 
 def test_over_the_limit_takes_the_stdlib_path():
