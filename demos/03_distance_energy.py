@@ -28,7 +28,8 @@ for d, pairs in sorted(classes.classes.items()):
     print(f"  d = {d}: pairs {pairs}")
 
 # Q counts ordered pairs of pairs with equal distance; Q0 is the part that
-# reuses a point column, Q1 the rest.
+# reuses a point column, Q1 the rest. The report stores only Q0 and the
+# class-size histogram: x, Q and Q1 are read off those two.
 rep = energy(classes)
 print("\nQ  =", rep.energy)
 print("Q0 =", rep.energy_same_point, " (<= n*m =", rep.n * rep.m, ")")
@@ -42,9 +43,10 @@ assert oracle_quadruples(cfg) == (rep.energy, rep.energy_same_point, rep.energy_
 print("streaming route and brute-force oracle agree")
 
 # x * Q >= (nm - x)^2 always; with x <= nm/2 it rearranges to 4xQ >= (nm)^2.
-chain = check_chain(rep, cfg.n, cfg.m)
+# check_chain reads n, m, x and Q off the report and derives every verdict.
+chain = check_chain(rep)
 print("\nx*Q - (nm - x)^2 =", chain.slack)
-print("chain holds:", chain.cauchy_ok)
+print("chain holds:", chain.ok)
 
 # The same accounting on a bigger random configuration.
 big = gen_random(n=40, m=60, k=3, seed=9, coord_range=500)
@@ -52,4 +54,4 @@ rep = energy_report(big)
 print("\nrandom n=40, m=60:")
 print("  x =", rep.distinct_count, " Q =", rep.energy,
       " Q0 =", rep.energy_same_point, " Q1 =", rep.energy_cross)
-print("  chain slack =", check_chain(rep, big.n, big.m).slack)
+print("  chain slack =", check_chain(rep).slack)

@@ -6,10 +6,11 @@ the piecewise bound
     x  >=  constant * min(m^2, n^(2/3) m^(2/3), n^(10/11) m^(4/11) / log^(2/11) m, n^2)
 
 with constant 1 and log clamped below at 1 so tiny arguments never inflate
-a bound. The default convention is the natural log; base-2 is available
-because the clamp makes the base visible in the numbers. Companion
-evaluators give the incidence upper bound for pseudo-parabola families and
-the energy upper-bound expression in n and m.
+a bound. A BoundReport stores the four terms and the regime, and reads its
+min and its piecewise value off them. The default convention is the
+natural log; base-2 is available because the clamp makes the base visible
+in the numbers. Companion evaluators give the incidence upper bound for
+pseudo-parabola families and the energy upper-bound expression in n and m.
 
 Where a term cannot be a finite float (n^3 overflows past about 5.6e102,
 a square past about 1.3e154), an evaluator raises TooLargeError instead
@@ -78,6 +79,8 @@ def regime(n: int, m: int, log_convention: str = "ln-clamped") -> Regime:
 
 @frozen_record
 class BoundReport:
+    """The four terms of the bound at (n, m); piecewise_value is the regime's term."""
+
     n: int
     m: int
     regime: Regime
@@ -85,8 +88,19 @@ class BoundReport:
     term_two_thirds: float
     term_log: float
     term_n_sq: float
-    min_value: float
-    piecewise_value: float
+
+    @property
+    def min_value(self) -> float:
+        return min(self.term_m_sq, self.term_two_thirds, self.term_log, self.term_n_sq)
+
+    @property
+    def piecewise_value(self) -> float:
+        return {
+            Regime.R1: self.term_m_sq,
+            Regime.R2: self.term_two_thirds,
+            Regime.R3: self.term_log,
+            Regime.R4: self.term_n_sq,
+        }[self.regime]
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,23 +130,7 @@ def distinct_lower_bound(n: int, m: int, log_convention: str = "ln-clamped") -> 
     term_log = fn ** (10 / 11) * fm ** (4 / 11) / clamped_log(fm, log_convention) ** (2 / 11)
     term_n_sq = fn ** 2
     reg = regime(n, m, log_convention)
-    piecewise = {
-        Regime.R1: term_m_sq,
-        Regime.R2: term_two_thirds,
-        Regime.R3: term_log,
-        Regime.R4: term_n_sq,
-    }[reg]
-    return BoundReport(
-        n=n,
-        m=m,
-        regime=reg,
-        term_m_sq=term_m_sq,
-        term_two_thirds=term_two_thirds,
-        term_log=term_log,
-        term_n_sq=term_n_sq,
-        min_value=min(term_m_sq, term_two_thirds, term_log, term_n_sq),
-        piecewise_value=piecewise,
-    )
+    return BoundReport(n, m, reg, term_m_sq, term_two_thirds, term_log, term_n_sq)
 
 
 @_finite

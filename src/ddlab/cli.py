@@ -247,9 +247,8 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
         return "PASS" if (q, q0, q1) == fast_q else "FAIL", f"oracle ({q}, {q0}, {q1}) vs fast {fast_q}"
 
     def chain():
-        report = check_chain(rep(), n, m)
-        ok = report.cauchy_ok and report.lower_ok is not False
-        return "PASS" if ok else "FAIL", f"x*Q - (nm-x)^2 = {report.slack}, x<=nm/2: {report.x_le_half}"
+        report = check_chain(rep())
+        return "PASS" if report.ok else "FAIL", f"x*Q - (nm-x)^2 = {report.slack}, x<=nm/2: {report.x_le_half}"
 
     def q0_bound():
         if crowded():
@@ -301,7 +300,7 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
         pairs = list(combinations(islice(family().iter_curves(), 40), 2))
         try:
             for h1, h2 in pairs:  # each call checks its points on both curves
-                family().intersection_count(h1, h2)
+                family()._intersection_count(h1, h2)
         except IntersectionCheckError as exc:
             return "FAIL", str(exc)
         return "PASS", f"{len(pairs)} curve pairs, all meeting at most twice"

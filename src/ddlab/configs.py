@@ -15,7 +15,10 @@ values). They witness that the multiplicity conditions cannot be dropped.
 SqDistMatrix holds a table of squared distances in canonical int form, a
 scale and an int table over it, so its producers (the file reader,
 from_config and the orthogonal generator) and the energy kernels never walk
-a Fraction per entry.
+a Fraction per entry. It holds values only, so == is value equality: a
+matrix equals itself after a save and a load. Source, a Config or a
+SqDistMatrix, is what the energy kernels, the oracles and the file loader
+accept.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Union
 
 from .errors import (
     EmptyResultError,
@@ -127,14 +130,12 @@ def prune_general(cfg: Config) -> PrunedConfig:
 
 @frozen_record
 class SqDistMatrix:
-    """An n x m table of exact squared distances, with its construction noted.
+    """An n x m table of exact squared distances.
 
     The table is kept in canonical int form: entry (i, j) is
     scaled[i][j] / scale, with scale > 0 and no common factor left between
-    scale and every entry, so equal values give equal ints. == compares
-    the ints and provenance: "config" for tables computed from a coordinate
-    Config, the construction name for analytic families, and "file" after
-    loading. Readers, generators and the energy kernels work on the ints;
+    scale and every entry, so equal values give equal ints and == compares
+    values. Readers, generators and the energy kernels work on the ints;
     entries, the table as Fractions, is built on first use.
     """
 
@@ -142,7 +143,6 @@ class SqDistMatrix:
     m: int
     scale: int
     scaled: tuple[tuple[int, ...], ...]
-    provenance: str
 
     def __post_init__(self) -> None:
         rows = tuple(map(tuple, self.scaled))
@@ -165,12 +165,10 @@ class SqDistMatrix:
         object.__setattr__(self, "scaled", rows)
 
     @classmethod
-    def of(
-        cls, n: int, m: int, entries: Iterable[Iterable[Rational | str]], provenance: str
-    ) -> "SqDistMatrix":
+    def of(cls, n: int, m: int, entries: Iterable[Iterable[Rational | str]]) -> "SqDistMatrix":
         """Build the canonical table from rational entries (ints, Fractions or literals)."""
         scale, scaled = scale_table([tuple(row) for row in entries], _frac)
-        return cls(n=n, m=m, scale=scale, scaled=scaled, provenance=provenance)
+        return cls(n=n, m=m, scale=scale, scaled=scaled)
 
     @cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -189,7 +187,10 @@ class SqDistMatrix:
         view = cfg.view
         cols = tuple(zip(view.firsts, view.rhos))
         rows = tuple(tuple((a - x) * (a - x) + r for x, r in cols) for a in view.params)
-        return cls(n=cfg.n, m=cfg.m, scale=view.scale**2, scaled=rows, provenance="config")
+        return cls(n=cfg.n, m=cfg.m, scale=view.scale**2, scaled=rows)
+
+
+Source = Union[Config, SqDistMatrix]
 
 
 def gen_cylinder_extremal(n: int, m: int, h: Rational | str = 1) -> Config:
@@ -218,7 +219,7 @@ def gen_orthogonal_extremal(n: int, m: int) -> SqDistMatrix:
     if n < 1 or m < 1:
         raise InvalidCountError("n and m must be positive")
     rows = tuple(tuple(range(i + 1, i + m + 1)) for i in range(1, n + 1))
-    return SqDistMatrix(n=n, m=m, scale=1, scaled=rows, provenance="orthogonal")
+    return SqDistMatrix(n=n, m=m, scale=1, scaled=rows)
 
 
 def gen_random(n: int, m: int, k: int, seed: int, coord_range: int) -> Config:

@@ -13,6 +13,12 @@ check_chain verifies the Cauchy-Schwarz link between the distinct count x
 and the energy: x * Q >= (nm - x)^2 exactly, and when x <= nm/2 also
 4 * x * Q >= m^2 * n^2.
 
+Both reports store only what cannot be derived. An EnergyReport keeps Q0
+and the class-size histogram, and reads x, Q and Q1 off them; a
+ChainReport keeps (n, m, x, Q) and computes every verdict from them. So
+no report can carry a Q other than the sum of e(e - 1) over its classes,
+or a verdict that contradicts its slack.
+
 energy_report counts on plain ints: it reads a config's scaled view,
 Config.view (every squared distance times L^2), and a matrix's
 canonical int table (SqDistMatrix.scaled) as it is, and one positive factor
@@ -39,13 +45,11 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
-from .configs import SqDistMatrix
-from .exact import Config, sq_dist_rows
+from .configs import Source, SqDistMatrix
+from .exact import sq_dist_rows
 from .records import frozen_record
-
-Source = Union[Config, SqDistMatrix]
 
 # Measured break-even of the numpy kernel: at 2^18 pairs the stdlib kernel
 # (about 0.6 us per pair) takes about as long as importing numpy and sorting.
@@ -95,13 +99,24 @@ class DistanceClasses:
 
 @frozen_record
 class EnergyReport:
+    """Q0 and the class-size histogram of an n x m source; x, Q and Q1 are read off them."""
+
     n: int
     m: int
-    distinct_count: int
-    energy: int
     energy_same_point: int
-    energy_cross: int
     class_histogram: tuple[tuple[int, int], ...]  # (class size, how many classes)
+
+    @property
+    def distinct_count(self) -> int:
+        return sum(count for _, count in self.class_histogram)
+
+    @property
+    def energy(self) -> int:
+        return sum(e * (e - 1) * count for e, count in self.class_histogram)
+
+    @property
+    def energy_cross(self) -> int:
+        return self.energy - self.energy_same_point
 
     def to_json_dict(self) -> dict:
         return {
@@ -124,17 +139,40 @@ class ChainReport:
     lower_ok: whether 4 * x * Q >= m^2 * n^2; None when x > nm/2 (the bound
     is not claimed there) or when Q = 0 (then x = nm, every pair realizes a
     fresh distance and the ratio form is vacuous).
+    ok: cauchy_ok, and lower_ok where it is claimed.
     """
 
     n: int
     m: int
     distinct_count: int
     energy: int
-    cauchy_ok: bool
-    slack: int
-    x_le_half: bool
-    lower_ok: bool | None
-    vacuous: bool
+
+    @property
+    def slack(self) -> int:
+        x = self.distinct_count
+        return x * self.energy - (self.n * self.m - x) ** 2
+
+    @property
+    def cauchy_ok(self) -> bool:
+        return self.slack >= 0
+
+    @property
+    def x_le_half(self) -> bool:
+        return 2 * self.distinct_count <= self.n * self.m
+
+    @property
+    def vacuous(self) -> bool:
+        return self.energy == 0
+
+    @property
+    def lower_ok(self) -> bool | None:
+        if not self.x_le_half or self.vacuous:
+            return None
+        return 4 * self.distinct_count * self.energy >= (self.n * self.m) ** 2
+
+    @property
+    def ok(self) -> bool:
+        return self.cauchy_ok and self.lower_ok is not False
 
 
 def distance_classes(src: Source) -> DistanceClasses:
@@ -155,7 +193,6 @@ def distance_classes(src: Source) -> DistanceClasses:
 
 def energy(classes: DistanceClasses) -> EnergyReport:
     """Exact ordered-quadruple energy of a class partition, split by column reuse."""
-    q = 0
     q0 = 0
     hist: Counter = Counter()
     for pairs in classes.classes.values():
@@ -163,18 +200,8 @@ def energy(classes: DistanceClasses) -> EnergyReport:
         hist[e] += 1
         if e < 2:
             continue
-        q += e * (e - 1)
         q0 += sum(cnt * (cnt - 1) for cnt in Counter(j for _, j in pairs).values())
-    q1 = q - q0
-    return EnergyReport(
-        n=classes.n,
-        m=classes.m,
-        distinct_count=len(classes.classes),
-        energy=q,
-        energy_same_point=q0,
-        energy_cross=q1,
-        class_histogram=tuple(sorted(hist.items())),
-    )
+    return EnergyReport(classes.n, classes.m, q0, tuple(sorted(hist.items())))
 
 
 def energy_report(src: Source) -> EnergyReport:
@@ -194,15 +221,15 @@ def energy_report(src: Source) -> EnergyReport:
 def _stdlib_report(src: Source) -> EnergyReport:
     """The reference kernel: streams one scaled int column at a time.
 
-    The global size table yields x, Q and the histogram, the per-column
-    table yields Q0; memory stays flat on large inputs.
+    The global size table yields the histogram, the per-column table
+    yields Q0; memory stays flat on large inputs.
     """
     sizes: Counter = Counter()
     q0 = 0
     for col in _scaled_columns(src):
         sizes.update(col)
         q0 += sum(c * (c - 1) for c in Counter(col).values() if c > 1)
-    return _report(src, len(sizes), q0, Counter(sizes.values()).items())
+    return EnergyReport(src.n, src.m, q0, tuple(sorted(Counter(sizes.values()).items())))
 
 
 def _table_dtype(bound: int) -> str | None:
@@ -253,7 +280,7 @@ def _numpy_report(src: Source) -> EnergyReport | None:
     q0 = sum(c * (c - 1) * k for c, k in _run_length_counts(np, flat, src.n))
     flat.sort()
     hist = _run_length_counts(np, flat, flat.size)
-    return _report(src, sum(k for _, k in hist), q0, hist)
+    return EnergyReport(src.n, src.m, q0, tuple(sorted(hist)))
 
 
 def _run_length_counts(np, flat, row: int) -> list[tuple[int, int]]:
@@ -291,43 +318,6 @@ def _run_length_counts(np, flat, row: int) -> list[tuple[int, int]]:
     return list(long.items())
 
 
-def _report(src: Source, distinct: int, q0: int, hist) -> EnergyReport:
-    """An EnergyReport from x, Q0 and the (class size, count) histogram."""
-    hist = sorted(hist)
-    q = sum(e * (e - 1) * count for e, count in hist)
-    return EnergyReport(
-        n=src.n,
-        m=src.m,
-        distinct_count=distinct,
-        energy=q,
-        energy_same_point=q0,
-        energy_cross=q - q0,
-        class_histogram=tuple(hist),
-    )
-
-
-def check_chain(report: EnergyReport, n: int, m: int) -> ChainReport:
-    """Verify the exact inequality chain tying x to Q for an n x m source."""
-    if report.n != n or report.m != m:
-        raise ValueError("report does not describe an n x m source")
-    x = report.distinct_count
-    q = report.energy
-    nm = n * m
-    slack = x * q - (nm - x) ** 2
-    cauchy_ok = slack >= 0
-    x_le_half = 2 * x <= nm
-    vacuous = q == 0
-    lower_ok: bool | None = None
-    if x_le_half and not vacuous:
-        lower_ok = 4 * x * q >= m * m * n * n
-    return ChainReport(
-        n=n,
-        m=m,
-        distinct_count=x,
-        energy=q,
-        cauchy_ok=cauchy_ok,
-        slack=slack,
-        x_le_half=x_le_half,
-        lower_ok=lower_ok,
-        vacuous=vacuous,
-    )
+def check_chain(report: EnergyReport) -> ChainReport:
+    """The exact inequality chain tying the report's x to its Q."""
+    return ChainReport(report.n, report.m, report.distinct_count, report.energy)

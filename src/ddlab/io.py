@@ -18,14 +18,12 @@ import io as _io
 import re
 from itertools import chain
 from pathlib import Path
-from typing import TextIO, Union
+from typing import TextIO
 
-from .configs import SqDistMatrix
+from .configs import Source, SqDistMatrix
 from .errors import FormatError, excerpt
 from .exact import Config, format_ratio, format_rational, parse_distinct, parse_rational, scale_table
 from .reduction import HyperbolaFamily, _ordered_pairs
-
-Source = Union[Config, SqDistMatrix]
 
 
 def _parse_header_pair(line: str, key_a: str, key_b: str) -> tuple[int, int]:
@@ -91,15 +89,18 @@ def read_matrix(stream: TextIO) -> SqDistMatrix:
     scale_table parses each distinct literal text once and maps every row's
     texts to ints through one dict, so no Fraction is made per entry. Errors
     come in file order: the first bad literal or row length among the first
-    n rows, then a missing or surplus row.
+    n rows, then a missing or surplus row. Blank lines are skipped, except
+    that an n x 0 matrix, whose n rows are all blank, reads back as such.
     """
     lines = [ln.strip() for ln in stream if ln.strip()]
     if not lines:
         raise FormatError("empty matrix file")
     n, m = _parse_header_pair(lines[0], "n", "m")
+    if m == 0 and len(lines) == 1:
+        lines += [""] * n  # the n empty rows of an n x 0 matrix
     rows = []
     for ln in lines[1 : n + 1]:
-        parts = ln.split(",")
+        parts = ln.split(",") if ln else []
         if len(parts) != m:
             scale_table(rows, parse_rational)  # a bad literal on an earlier row is reported first
             raise FormatError(f"expected {m} entries per row, got {len(parts)}: {excerpt(ln)}")
@@ -108,7 +109,7 @@ def read_matrix(stream: TextIO) -> SqDistMatrix:
     if len(lines) - 1 != n:
         raise FormatError(f"expected {n} rows, got {len(lines) - 1}")
     try:
-        return SqDistMatrix(n=n, m=m, scale=scale, scaled=scaled, provenance="file")
+        return SqDistMatrix(n=n, m=m, scale=scale, scaled=scaled)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

@@ -17,13 +17,9 @@ the guard they refuse rather than silently take minutes.
 
 from __future__ import annotations
 
-from typing import Union
-
-from .configs import SqDistMatrix
+from .configs import Source, SqDistMatrix
 from .errors import TooLargeError
 from .exact import Config, sq_dist_rows
-
-Source = Union[Config, SqDistMatrix]
 
 QUADRUPLE_GUARD = 2000  # max n*m
 INCIDENCE_GUARD = 10_000_000  # max n^2 * curve count

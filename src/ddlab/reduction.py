@@ -135,9 +135,14 @@ class HyperbolaFamily:
     def curves(self) -> tuple[Hyperbola, ...]:
         return tuple(self.iter_curves())
 
-    def intersection_count(self, h1: Hyperbola, h2: Hyperbola) -> IntersectionResult:
-        """intersection_count(h1, h2) for two curves of this family, with their
-        coefficients read from the int columns at the family's scale."""
+    def _intersection_count(self, h1: Hyperbola, h2: Hyperbola) -> IntersectionResult:
+        """intersection_count(h1, h2), with the coefficients read from this
+        family's int columns at its scale.
+
+        Both curves must come from this family's curve or iter_curves: only
+        their src pairs are read, so a curve of another family is silently
+        replaced by this family's curve of the same pair.
+        """
         (i, j), (k, l) = h1.src, h2.src
         f, r = self.firsts, self.rhos
         return _radical_walk(h1, h2, self.scale, [-f[i], -f[j], r[i] - r[j], -f[k], -f[l], r[k] - r[l]])

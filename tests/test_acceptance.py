@@ -153,7 +153,7 @@ def test_04_cauchy_schwarz_chain(corpus, adversarial):
             rep = energy_report(src)
             n, m, x, q = rep.n, rep.m, rep.distinct_count, rep.energy
             assert x * q >= (n * m - x) ** 2
-            chain = check_chain(rep, n, m)
+            chain = check_chain(rep)
             assert chain.cauchy_ok
             if 2 * x <= n * m:
                 assert 4 * x * q >= m * m * n * n
@@ -334,7 +334,7 @@ def test_10_performance_and_determinism():
         elapsed = time.monotonic() - start
         assert elapsed < 60.0
         assert rep.distinct_count == 3836041  # pinned: cross-run determinism
-        assert check_chain(rep, 2000, 2000).cauchy_ok
+        assert check_chain(rep).cauchy_ok
 
         spec = SweepSpec(n_list=(4, 9), m_list=(4, 9), seeds=(0, 1))
         first = rows_to_csv(run_sweep(spec))

@@ -145,7 +145,7 @@ class TestCylinder:
 class TestOrthogonal:
     def test_entries(self):
         mat = gen_orthogonal_extremal(2, 3)
-        assert mat.provenance == "orthogonal"
+        assert (mat.scale, mat.scaled) == (1, ((2, 3, 4), (3, 4, 5)))
         assert mat.entries == ((2, 3, 4), (3, 4, 5))
 
     @pytest.mark.parametrize("n,m", [(1, 1), (4, 9), (9, 4), (10, 10)])
@@ -169,7 +169,7 @@ class TestSqDistMatrix:
             Config.of(3, 1, ["-1/2", "5/3"], [("1/4", "2/5", "-3"), (2, "7/6", "1/9")]),
         ):
             mat = SqDistMatrix.from_config(cfg)
-            assert mat.provenance == "config"
+            assert (mat.n, mat.m) == (cfg.n, cfg.m)
             for i, a in enumerate(cfg.p1_params):
                 for j, p in enumerate(cfg.p2_points):
                     assert mat.entries[i][j] == sq_dist(a, p)
@@ -177,23 +177,23 @@ class TestSqDistMatrix:
 
     def test_shape_and_sign_checks(self):
         with pytest.raises(ValueError):
-            SqDistMatrix.of(n=2, m=1, entries=((Fraction(1),),), provenance="file")
+            SqDistMatrix.of(n=2, m=1, entries=((Fraction(1),),))
         for bad in (Fraction(-1), Fraction(-1, 3), -2):
             with pytest.raises(ValueError):
-                SqDistMatrix.of(n=1, m=1, entries=((bad,),), provenance="file")
-        zero = SqDistMatrix.of(n=1, m=2, entries=((0, Fraction(0, 5)),), provenance="file")
+                SqDistMatrix.of(n=1, m=1, entries=((bad,),))
+        zero = SqDistMatrix.of(n=1, m=2, entries=((0, Fraction(0, 5)),))
         assert zero.entries == ((Fraction(0), Fraction(0)),)
 
     def test_canonical_scale(self):
         # a common factor of scale and every entry is divided out, so == is value equality
-        mat = SqDistMatrix(n=1, m=3, scale=12, scaled=((6, 18, 0),), provenance="file")
+        mat = SqDistMatrix(n=1, m=3, scale=12, scaled=((6, 18, 0),))
         assert (mat.scale, mat.scaled) == (2, ((1, 3, 0),))
-        assert mat == SqDistMatrix.of(1, 3, [["1/2", "3/2", "0"]], "file")
+        assert mat == SqDistMatrix.of(1, 3, [["1/2", "3/2", "0"]])
         for scale in (5, 1):
-            empty = SqDistMatrix(n=0, m=2, scale=scale, scaled=(), provenance="file")
+            empty = SqDistMatrix(n=0, m=2, scale=scale, scaled=())
             assert empty.scale == 1 and empty.entries == ()
         with pytest.raises(ValueError):
-            SqDistMatrix(n=1, m=1, scale=0, scaled=((1,),), provenance="file")
+            SqDistMatrix(n=1, m=1, scale=0, scaled=((1,),))
 
 
 # Literal texts over the denominators 1, 2, 3, 4, 6 and 7, unreduced ones
@@ -209,7 +209,7 @@ _LITERALS = st.one_of(
 
 @st.composite
 def literal_tables(draw):
-    n, m = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     pool = draw(st.lists(_LITERALS, min_size=1, max_size=6))
     row = st.lists(st.sampled_from(pool), min_size=m, max_size=m)
     return n, m, draw(st.lists(row, min_size=n, max_size=n))
@@ -226,11 +226,11 @@ def _round_trip(mat: SqDistMatrix) -> SqDistMatrix:
 def test_canonical_matrix_from_any_rational_table(table):
     n, m, texts = table
     values = tuple(tuple(parse_rational(t) for t in row) for row in texts)
-    mat = SqDistMatrix.of(n, m, texts, "file")
+    mat = SqDistMatrix.of(n, m, texts)
     assert mat.entries == values
     assert all(type(v) is Fraction for row in mat.entries for v in row)
     assert mat.scale == math.lcm(*(v.denominator for row in values for v in row))
-    assert SqDistMatrix.of(n, m, values, "file") == mat
+    assert SqDistMatrix.of(n, m, values) == mat
     assert _round_trip(mat) == mat
     text = f"n={n},m={m}\n" + "".join(",".join(row) + "\n" for row in texts)
     assert read_matrix(io.StringIO(text)) == mat
@@ -247,10 +247,10 @@ def test_canonical_matrix_from_config(k, params, data):
     cfg = Config.of(k=k, c=len(points), p1_params=params, p2_points=points)
     mat = SqDistMatrix.from_config(cfg)
     by_value = SqDistMatrix.of(
-        cfg.n, cfg.m, [[sq_dist(a, p) for p in cfg.p2_points] for a in cfg.p1_params], "config"
+        cfg.n, cfg.m, [[sq_dist(a, p) for p in cfg.p2_points] for a in cfg.p1_params]
     )
     assert mat == by_value
-    assert _round_trip(mat) == SqDistMatrix(mat.n, mat.m, mat.scale, mat.scaled, provenance="file")
+    assert _round_trip(mat) == mat
 
 
 class TestGenRandom:

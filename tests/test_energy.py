@@ -16,10 +16,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddlab import (
+    ChainReport,
     Config,
     Point,
     SqDistMatrix,
@@ -71,7 +72,7 @@ class TestWorkedExample:
         assert energy_report(WORKED) == energy(distance_classes(WORKED))
 
     def test_chain(self):
-        chain = check_chain(energy_report(WORKED), 2, 2)
+        chain = check_chain(energy_report(WORKED))
         assert chain.cauchy_ok and chain.slack == 8
         assert chain.x_le_half
         assert chain.lower_ok is True
@@ -155,13 +156,23 @@ class TestQ0Bound:
         assert rep.energy_same_point == 0
 
 
+@st.composite
+def chain_inputs(draw):
+    """(n, m, x, Q) with n, m >= 0, 0 <= x <= nm and Q >= 0, Q often near
+    the thresholds (nm - x)^2 / x and (nm)^2 / 4x."""
+    n, m = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    x = draw(st.integers(0, n * m))
+    q = draw(st.integers(0, (n * m) ** 2 + 2) | st.integers(0, 10**30))
+    return n, m, x, q
+
+
 class TestChain:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6))
     def test_exact_inequalities(self, seed):
         cfg = small_random_config(seed, max_nm=9)
         rep = energy_report(cfg)
-        chain = check_chain(rep, cfg.n, cfg.m)
+        chain = check_chain(rep)
         x, q, nm = rep.distinct_count, rep.energy, cfg.n * cfg.m
         assert chain.cauchy_ok
         assert x * q - (nm - x) ** 2 == chain.slack >= 0
@@ -174,13 +185,31 @@ class TestChain:
         cfg = Config.of(2, 1, [0], [(0, 1), (0, 2)])
         rep = energy_report(cfg)
         assert rep.energy == 0
-        chain = check_chain(rep, 1, 2)
+        chain = check_chain(rep)
         assert chain.vacuous and chain.lower_ok is None
         assert chain.cauchy_ok  # 0 >= 0
+        assert chain == ChainReport(1, 2, 2, 0)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            check_chain(energy_report(WORKED), 3, 2)
+    @settings(max_examples=300, deadline=None)
+    @given(chain_inputs())
+    @example((4, 4, 8, 8))  # x = nm/2 and Q = x: both inequalities hold with equality
+    @example((4, 4, 8, 7))  # x = nm/2 and Q < x: both fail
+    @example((4, 4, 4, 10))  # x < nm/2: the lower bound is claimed and fails
+    @example((3, 2, 6, 0))  # Q = 0 with x = nm
+    @example((3, 2, 2, 0))  # Q = 0 with x < nm: Cauchy-Schwarz fails
+    @example((3, 3, 5, 1))  # x > nm/2: the lower bound is not claimed
+    @example((0, 5, 0, 0))
+    def test_verdicts_follow_the_inequalities(self, values):
+        n, m, x, q = values
+        chain = ChainReport(n, m, x, q)
+        nm = n * m
+        assert chain.slack == x * q - (nm - x) ** 2
+        assert chain.cauchy_ok is (x * q >= (nm - x) ** 2)
+        assert chain.x_le_half is (2 * x <= nm)
+        assert chain.vacuous is (q == 0)
+        claimed = 2 * x <= nm and q != 0
+        assert chain.lower_ok is ((4 * x * q >= m * m * n * n) if claimed else None)
+        assert chain.ok is (x * q >= (nm - x) ** 2 and not (claimed and 4 * x * q < m * m * n * n))
 
 
 class TestInvariance:
@@ -236,7 +265,7 @@ def kernel_sources(draw):
         entry = st.one_of(st.sampled_from(pool), value)  # and tables can be all distinct
         row = st.lists(entry, min_size=m, max_size=m).map(tuple)
         entries = draw(st.lists(row, min_size=n, max_size=n).map(tuple))
-        return SqDistMatrix.of(n=n, m=m, entries=entries, provenance="file")
+        return SqDistMatrix.of(n=n, m=m, entries=entries)
     dens = (1,) if kind == "int" else (1, 2, 3, 6, 7)
     value = st.builds(Fraction, st.integers(-6, 6), st.sampled_from(dens))
     k = draw(st.integers(2, 4))
@@ -252,7 +281,7 @@ def near_limit(src, limit: int, above: bool, slack: int):
         scale = common_denominator(v for row in src.entries for v in row)
         far = Fraction(limit + slack if above else limit - 1 - slack, scale)
         # a whole row of the far value, so that a class sits at the top of the range
-        return SqDistMatrix.of(src.n + 1, src.m, src.entries + ((far,) * src.m,), "file")
+        return SqDistMatrix.of(src.n + 1, src.m, src.entries + ((far,) * src.m,))
     # one far point at scaled squared axis distance limit / 2, half the
     # budget, and on the far side of the largest axis parameter:
     # (|top| + s)^2 + limit / 2 is both the bound and the largest table entry

@@ -121,13 +121,23 @@ class TestMatrixFormat:
             n=2,
             m=2,
             entries=((Fraction(1, 3), Fraction(5)), (Fraction(0), Fraction(7, 2))),
-            provenance="config",
         )
         buf = io.StringIO()
         write_matrix(mat, buf)
         back = read_matrix(io.StringIO(buf.getvalue()))
         assert back.entries == mat.entries
-        assert back.provenance == "file"
+        assert back == mat
+
+    def test_round_trip_without_columns(self):
+        # an n x 0 matrix is written as n blank rows
+        mat = SqDistMatrix(n=2, m=0, scale=1, scaled=((), ()))
+        buf = io.StringIO()
+        write_matrix(mat, buf)
+        assert buf.getvalue() == "n=2,m=0\n\n\n"
+        assert read_matrix(io.StringIO(buf.getvalue())) == mat
+        assert read_matrix(io.StringIO("n=2,m=0\n")) == mat
+        with pytest.raises(FormatError, match="expected 0 entries per row, got 1"):
+            read_matrix(io.StringIO("n=2,m=0\n1\n"))
 
     @pytest.mark.parametrize(
         "text",

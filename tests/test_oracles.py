@@ -32,7 +32,6 @@ def test_quadruple_oracle_guard():
         n=2001,
         m=1,
         entries=tuple((Fraction(i),) for i in range(2001)),
-        provenance="file",
     )
     with pytest.raises(TooLargeError):
         oracle_quadruples(mat)

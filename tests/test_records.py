@@ -64,7 +64,7 @@ def _samples() -> dict[str, object]:
         "IntersectionResult": intersection_count(family.curves[0], family.curves[1]),
         "DistanceClasses": distance_classes(cfg),
         "EnergyReport": energy,
-        "ChainReport": check_chain(energy, cfg.n, cfg.m),
+        "ChainReport": check_chain(energy),
         "BoundReport": distinct_lower_bound(100, 5),
         "ValidationReport": validate_constraints(gen_cylinder_extremal(2, 3), c=1),
         "PrunedConfig": prune_general(cfg),
@@ -203,7 +203,7 @@ def test_post_init_normalizes_and_validates_either_way():
     with pytest.raises(ValueError, match="unknown generator"):
         SweepSpec(n_list=(1,), m_list=(1,), seeds=(1,), generator="nope")
     assert ParamGrid(("1/2", 3)) == ParamGrid(params=("1/2", 3)) == ParamGrid((Fraction(1, 2), Fraction(3)))
-    mat = SqDistMatrix(1, 2, 4, ((2, 6),), "x")
+    mat = SqDistMatrix(1, 2, 4, ((2, 6),))
     assert (mat.scale, mat.scaled) == (2, ((1, 3),))
 
 

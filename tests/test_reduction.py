@@ -375,7 +375,7 @@ class TestIntersections:
         for cfg in configs:
             family = build_family(cfg)
             for h1, h2 in combinations(islice(family.iter_curves(), 40), 2):
-                res = family.intersection_count(h1, h2)
+                res = family._intersection_count(h1, h2)
                 assert res == intersection_count(h1, h2), (h1.src, h2.src)
                 with_points += bool(res.points)
         assert with_points > 0

@@ -215,7 +215,6 @@ def test_fractional_matrix_entries():
             (Fraction(3, 4), half, Fraction(5, 6)),
             (Fraction(1), third, Fraction(2, 4)),
         ),
-        provenance="file",
     )
     rep = energy_report(mat)
     assert rep == energy(distance_classes(mat))

@@ -59,7 +59,7 @@ def matrices(draw):
     m = draw(st.integers(1, 9))
     entry = st.builds(Fraction, st.integers(0, 5), st.sampled_from((1, 2, 4)))
     rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
-    return SqDistMatrix.of(n=n, m=m, entries=tuple(map(tuple, rows)), provenance="file")
+    return SqDistMatrix.of(n=n, m=m, entries=tuple(map(tuple, rows)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -70,6 +70,6 @@ def test_verify_on_any_config(cfg):
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
-@example(SqDistMatrix.of(n=3, m=1, entries=((1,), (1,), (1,)), provenance="file"))
+@example(SqDistMatrix.of(n=3, m=1, entries=((1,), (1,), (1,))))
 def test_verify_on_any_matrix(mat):
     _verify(mat)
