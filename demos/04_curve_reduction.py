@@ -10,7 +10,6 @@ of incidences between the n^2 grid of axis pairs and m(m-1) curves.
 
 from ddlab import (
     Config,
-    ParamGrid,
     build_family,
     distance_classes,
     energy_report,
@@ -30,13 +29,13 @@ for h in fam.curves:
 positive = sum(1 for h in fam.curves if h.gamma > 0)
 print("positive gammas:", positive, " negative:", len(fam) - positive)
 
-# Count grid points on curves by the grouped join, and check every curve's
-# count against the oracle, which evaluates each curve at each grid point on
-# the config's own rationals, without the family.
-grid = ParamGrid.from_config(cfg)
-rep = incidences(grid, fam)
+# Count grid points on curves by the grouped join, on the config's int view
+# (the grid and the family at one scale), and check every curve's count
+# against the oracle, which evaluates each curve at each grid point on the
+# config's own rationals, without the family.
+rep = incidences(cfg.view, fam)
 print("\nincidences:", rep.total, " per curve:", rep.per_curve)
-assert rep.per_curve == oracle_incidences(grid, cfg)
+assert rep.per_curve == oracle_incidences(cfg.p1_params, cfg)
 
 # The count is exactly Q1: a cross quadruple (i, j, k, l), two pairs of one
 # distance class with j != l, is the grid point (a_i, a_k) on curve (j, l).

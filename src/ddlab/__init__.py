@@ -70,7 +70,6 @@ from .reduction import (
     HyperbolaFamily,
     IncidenceReport,
     IntersectionResult,
-    ParamGrid,
     build_family,
     incidences,
     intersection_count,
@@ -98,7 +97,6 @@ __all__ = [
     "IntersectionResult",
     "InvalidCountError",
     "InvalidRangeError",
-    "ParamGrid",
     "Point",
     "PrunedConfig",
     "Regime",

@@ -27,7 +27,7 @@ from .energy import check_chain, distance_classes, energy, energy_report
 from .errors import DdlabError, IntersectionCheckError, TooLargeError
 from .exact import Config, validate_constraints
 from .oracles import QUADRUPLE_GUARD, oracle_incidences, oracle_quadruples
-from .reduction import ParamGrid, _ordered_pairs, build_family, incidences
+from .reduction import _ordered_pairs, build_family, incidences
 from .sweep import GENERATORS, CSV_COLUMNS, SweepSpec, check_options, generate, rows_to_csv, run_sweep
 
 SWEEP_COLUMNS_HELP = "CSV columns, in order: " + ", ".join(CSV_COLUMNS)
@@ -150,7 +150,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if isinstance(src, SqDistMatrix):
         raise DdlabError("reduce needs a coordinate config, not a matrix")
     family = build_family(src)
-    rep = incidences(ParamGrid.from_config(src), family)
+    rep = incidences(src.view, family)
     if args.output is not None:
         buf = StringIO()
         dio.write_gamma_csv(family, buf)
@@ -219,9 +219,8 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
         lambda: isinstance(src, Config) and m >= 2 and validate_constraints(src, c=1).ok
     )
     family = _once(lambda: build_family(src))
-    grid = _once(lambda: ParamGrid.from_config(src))
-    fast = _once(lambda: incidences(grid(), family()))
-    per_curve = _once(lambda: oracle_incidences(grid(), src))
+    fast = _once(lambda: incidences(src.view, family()))
+    per_curve = _once(lambda: oracle_incidences(src.p1_params, src))
 
     def constraints():
         if isinstance(src, Config):
@@ -273,7 +272,7 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
         try:
             oracle = per_curve()
         except TooLargeError:
-            return "SKIP", f"n^2*curves = {grid().n ** 2 * len(family())} too large"
+            return "SKIP", f"n^2*curves = {n ** 2 * len(family())} too large"
         status = "PASS" if fast().per_curve == oracle else "FAIL"
         return status, f"hash {fast().total} vs naive {sum(oracle)}"
 

@@ -17,9 +17,11 @@ the guard they refuse rather than silently take minutes.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .configs import Source, SqDistMatrix
 from .errors import TooLargeError
-from .exact import Config, sq_dist_rows
+from .exact import Config, Rational, sq_dist_rows
 
 QUADRUPLE_GUARD = 2000  # max n*m
 INCIDENCE_GUARD = 10_000_000  # max n^2 * curve count
@@ -46,20 +48,20 @@ def oracle_quadruples(src: Source) -> tuple[int, int, int]:
     return q, q0, q - q0
 
 
-def oracle_incidences(grid, cfg: Config) -> tuple[int, ...]:
-    """Incidences per curve (i, j), i-major with i != j, at every point (s, t) of grid.
+def oracle_incidences(params: Sequence[Rational], cfg: Config) -> tuple[int, ...]:
+    """Incidences per curve (i, j), i-major with i != j, at every grid point (s, t) of params^2.
 
-    grid is anything with the axis parameters in .params, such as a
-    ParamGrid. (s, t) is on curve (i, j) exactly when
+    params are the grid's rational axis parameters: cfg.p1_params, or any
+    other grid. (s, t) is on curve (i, j) exactly when
     (s - x_i)^2 + rho_sq(p_i) == (t - x_j)^2 + rho_sq(p_j), that is when
     sq_dist(s, p_i) == sq_dist(t, p_j); both sides are the reduced pairs of
-    the grid's and the points' own rationals.
+    the parameters' and the points' own rationals.
     """
-    n, m = len(grid.params), cfg.m
+    n, m = len(params), cfg.m
     work = n * n * m * (m - 1)
     if work > INCIDENCE_GUARD:
         raise TooLargeError(f"n^2 * curves = {work} exceeds the oracle guard {INCIDENCE_GUARD}")
-    rows = list(sq_dist_rows(cfg, grid.params))
+    rows = list(sq_dist_rows(cfg, params))
     cols = [[row[i] for row in rows] for i in range(m)]  # sq_dist(s, p_i) for each s
     return tuple(
         sum(cols[j].count(left) for left in cols[i]) for i in range(m) for j in range(m) if i != j

@@ -44,7 +44,7 @@ from .errors import (
     IdenticalCurvesError,
     IntersectionCheckError,
 )
-from .exact import Config, Rational, _frac, common_denominator, scaled_ints, validate_constraints
+from .exact import Config, IntView, Rational, _frac, validate_constraints
 from .records import frozen_record
 
 
@@ -71,24 +71,6 @@ class Hyperbola:
 
     def contains(self, s: Rational | str, t: Rational | str) -> bool:
         return self.evaluate(s, t) == 0
-
-
-@frozen_record
-class ParamGrid:
-    """The n^2 grid of ordered axis-parameter pairs, stored implicitly."""
-
-    params: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", tuple(map(_frac, self.params)))
-
-    @classmethod
-    def from_config(cls, cfg: Config) -> "ParamGrid":
-        return cls(params=cfg.p1_params)
-
-    @property
-    def n(self) -> int:
-        return len(self.params)
 
 
 def _ordered_pairs(m: int) -> Iterator[tuple[int, int]]:
@@ -191,11 +173,13 @@ class IncidenceReport:
         }
 
 
-def incidences(grid: ParamGrid, family: HyperbolaFamily) -> IncidenceReport:
+def incidences(grid: IntView, family: HyperbolaFamily) -> IncidenceReport:
     """Count grid points on each curve, exactly, on plain ints.
 
-    Grid and family are first scaled to one L, the lcm of the family's scale
-    and the grid's denominators. (s, t) is on curve (i, j) exactly when
+    grid is an IntView, of which only scale and params are read: the
+    config's own Config.view, or any other scaled grid. Grid and family are
+    lifted to one L, the lcm of their two scales, so a config's own view
+    is read as it is. (s, t) is on curve (i, j) exactly when
     (s + shift_i)^2 + rho_i = (t + shift_j)^2 + rho_j, so the join keys each
     (point i, grid value s) once by (s + shift_i)^2 + rho_i, and a value
     taken c_i times by point i and c_j times by point j != i puts c_i c_j
@@ -204,9 +188,9 @@ def incidences(grid: ParamGrid, family: HyperbolaFamily) -> IncidenceReport:
     Each shared value counts for (i, j) and for (j, i), so per_curve is
     mirror-symmetric and half of the total lies on each sign of gamma.
     """
-    scale = math.lcm(family.scale, common_denominator(grid.params))
-    factor = scale // family.scale
-    params = scaled_ints(grid.params, scale)
+    scale = math.lcm(family.scale, grid.scale)
+    lift, factor = scale // grid.scale, scale // family.scale
+    params = [s * lift for s in grid.params]
     shifts = [-x * factor for x in family.firsts]  # alpha of curves (i, .), beta of (., i)
     rhos = [r * factor * factor for r in family.rhos]
     m = family.m

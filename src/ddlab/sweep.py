@@ -22,7 +22,7 @@ from .energy import check_chain, energy_report
 from .errors import DdlabError
 from .exact import Config, Rational, validate_constraints
 from .records import frozen_record
-from .reduction import ParamGrid, build_family, incidences
+from .reduction import build_family, incidences
 
 GENERATORS = ("random", "cylinder", "orthogonal")
 
@@ -134,7 +134,7 @@ def compute_row(spec: SweepSpec, n: int, m: int, seed: int) -> SweepRow:
     bijection_ok: bool | None = None
     if isinstance(src, Config) and m >= 2 and validate_constraints(src, c=1).ok:
         family = build_family(src)
-        inc_total = incidences(ParamGrid.from_config(src), family).total
+        inc_total = incidences(src.view, family).total
         bijection_ok = inc_total == rep.energy_cross
     bound = bounds.distinct_lower_bound(n, m, spec.log_convention)
     expr = bounds.energy_upper_expr(n, m, spec.log_convention)

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from ddlab import Config, Point, gen_random
+from ddlab.exact import IntView, common_denominator, scaled_ints
 
 
 @pytest.fixture(autouse=True)
@@ -32,6 +33,14 @@ def sign_split(per_curve, family) -> tuple[int, int]:
     """Incidences on the family's curves with gamma > 0 and with gamma < 0."""
     pos = sum(c for c, h in zip(per_curve, family.iter_curves()) if h.gamma > 0)
     return pos, sum(per_curve) - pos
+
+
+def foreign_grid(params) -> IntView:
+    """A grid of rational axis parameters other than a config's own (repeats
+    allowed), scaled to ints the way Config.view scales a config's."""
+    params = [Fraction(a) for a in params]
+    scale = common_denominator(params)
+    return IntView(scale, tuple(scaled_ints(params, scale)), (), ())
 
 
 def small_random_config(seed: int, max_nm: int = 12, ks: tuple[int, ...] = (2, 3, 4)) -> Config:

@@ -10,7 +10,6 @@ import ddlab.oracles
 
 from ddlab import (
     Config,
-    ParamGrid,
     SqDistMatrix,
     TooLargeError,
     build_family,
@@ -52,8 +51,8 @@ def test_quadruple_oracle_guard_comes_before_the_table(monkeypatch):
 def test_incidence_oracle_guard():
     cfg = gen_random(n=2, m=33, k=2, seed=0, coord_range=200)
     family = build_family(cfg)
-    big_grid = ParamGrid(params=tuple(Fraction(i) for i in range(100)))
-    assert big_grid.n ** 2 * len(family) > INCIDENCE_GUARD
+    big_grid = tuple(Fraction(i) for i in range(100))
+    assert len(big_grid) ** 2 * len(family) > INCIDENCE_GUARD
     with pytest.raises(TooLargeError):
         oracle_incidences(big_grid, cfg)
     assert "curves" not in family.__dict__  # refused before any curve was built

@@ -20,7 +20,6 @@ from ddlab import (
     Config,
     DegenerateHyperbolaError,
     Hyperbola,
-    ParamGrid,
     Point,
     SqDistMatrix,
     SweepRow,
@@ -43,8 +42,8 @@ from conftest import RADICAL_LINE
 RECORD_NAMES = {
     "BoundReport", "ChainReport", "Config", "DistanceClasses", "EnergyReport",
     "Hyperbola", "HyperbolaFamily", "IncidenceReport", "IntersectionResult",
-    "ParamGrid", "Point", "PrunedConfig", "SqDistMatrix", "SweepRow",
-    "SweepSpec", "ValidationReport", "Violation",
+    "Point", "PrunedConfig", "SqDistMatrix", "SweepRow", "SweepSpec",
+    "ValidationReport", "Violation",
 }
 
 
@@ -59,8 +58,7 @@ def _samples() -> dict[str, object]:
         "Point": cfg.p2_points[1],
         "HyperbolaFamily": family,
         "Hyperbola": family.curves[1],
-        "ParamGrid": ParamGrid.from_config(cfg),
-        "IncidenceReport": incidences(ParamGrid.from_config(cfg), family),
+        "IncidenceReport": incidences(cfg.view, family),
         "IntersectionResult": intersection_count(family.curves[0], family.curves[1]),
         "DistanceClasses": distance_classes(cfg),
         "EnergyReport": energy,
@@ -174,7 +172,7 @@ def test_defaults_fill_trailing_fields():
         SweepRow(1, 2, 2, generator="random")
 
 
-@pytest.mark.parametrize("name", ["Config", "Hyperbola", "ParamGrid", "Point", "SqDistMatrix", "SweepSpec"])
+@pytest.mark.parametrize("name", ["Config", "Hyperbola", "Point", "SqDistMatrix", "SweepSpec"])
 def test_post_init_runs_for_positional_and_keyword_calls(name, monkeypatch):
     cls = type(SAMPLES[name])
     args = _fields(SAMPLES[name])
@@ -202,7 +200,6 @@ def test_post_init_normalizes_and_validates_either_way():
             make()
     with pytest.raises(ValueError, match="unknown generator"):
         SweepSpec(n_list=(1,), m_list=(1,), seeds=(1,), generator="nope")
-    assert ParamGrid(("1/2", 3)) == ParamGrid(params=("1/2", 3)) == ParamGrid((Fraction(1, 2), Fraction(3)))
     mat = SqDistMatrix(1, 2, 4, ((2, 6),))
     assert (mat.scale, mat.scaled) == (2, ((1, 3),))
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from ddlab import (
     Config,
-    ParamGrid,
     build_family,
     distance_classes,
     gen_random,
@@ -36,11 +35,11 @@ def reference_classes(cfg: Config) -> dict:
     return classes
 
 
-def reference_incidences(grid: ParamGrid, family) -> tuple[int, ...]:
+def reference_incidences(params, family) -> tuple[int, ...]:
     per_curve = []
     for h in family.curves:
-        lhs = [(s + h.alpha) ** 2 + h.gamma for s in grid.params]
-        rhs = [(t + h.beta) ** 2 for t in grid.params]
+        lhs = [(s + h.alpha) ** 2 + h.gamma for s in params]
+        rhs = [(t + h.beta) ** 2 for t in params]
         per_curve.append(sum(rhs.count(left) for left in lhs))
     return tuple(per_curve)
 
@@ -94,7 +93,7 @@ def test_rows_are_reduced_squared_distances(cfg):
 @given(fractional_configs(reducible=True), st.none() | st.lists(VALUE, min_size=1, max_size=6, unique=True))
 def test_oracle_incidences_match_fraction_reference(cfg, params):
     family = build_family(cfg)
-    grid = ParamGrid.from_config(cfg) if params is None else ParamGrid(params=tuple(sorted(params)))
+    grid = cfg.p1_params if params is None else sorted(params)
     assert oracle_incidences(grid, cfg) == reference_incidences(grid, family)
 
 

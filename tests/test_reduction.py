@@ -21,7 +21,6 @@ from ddlab import (
     Hyperbola,
     HyperbolaFamily,
     IdenticalCurvesError,
-    ParamGrid,
     Point,
     build_family,
     distance_classes,
@@ -178,9 +177,7 @@ def test_incidence_iff_equal_sq_dist(s, t, px, qx, ptrans, qtrans):
 class TestIncidences:
     def test_worked_example(self):
         family = build_family(WORKED)
-        grid = ParamGrid.from_config(WORKED)
-        assert grid.n ** 2 == 4
-        rep = incidences(grid, family)
+        rep = incidences(WORKED.view, family)
         assert rep.total == 4
         assert rep.per_curve == (2, 2)
         assert sign_split(rep.per_curve, family) == (2, 2)
@@ -192,9 +189,8 @@ class TestIncidences:
             m = rng.randint(2, 7)
             cfg = gen_random(n=n, m=m, k=rng.choice((2, 3, 4)), seed=seed, coord_range=9 * (n + m))
             family = build_family(cfg)
-            grid = ParamGrid.from_config(cfg)
-            fast = incidences(grid, family)
-            per_curve = oracle_incidences(grid, cfg)
+            fast = incidences(cfg.view, family)
+            per_curve = oracle_incidences(cfg.p1_params, cfg)
             assert fast.per_curve == per_curve
             assert sum(fast.per_curve) == fast.total
             assert sign_split(per_curve, family) == (fast.total // 2, fast.total // 2)
@@ -202,21 +198,20 @@ class TestIncidences:
     def test_fractional_coordinates(self):
         cfg = fractional_config(2, n=4, m=5, k=2)
         family = build_family(cfg)
-        grid = ParamGrid.from_config(cfg)
-        assert incidences(grid, family).per_curve == oracle_incidences(grid, cfg)
+        assert incidences(cfg.view, family).per_curve == oracle_incidences(cfg.p1_params, cfg)
 
     def test_grid_takes_literals(self):
-        # grid params coerce like Config's: literal text parses, bad text is a FormatError
-        family = build_family(WORKED)
-        literal = ParamGrid(params=("1/2", "2"))
-        assert literal == ParamGrid(params=(Fraction(1, 2), Fraction(2)))
-        rep = incidences(literal, family)
-        assert rep.per_curve == oracle_incidences(literal, WORKED)
+        # the join's grid is the config's view, so its params coerce as Config's
+        # do: literal text parses, bad text is a FormatError
+        literal = Config.of(2, 1, ["1/2", "2"], [(0, 1), (1, 2)])
+        assert literal.p1_params == (Fraction(1, 2), Fraction(2))
+        rep = incidences(literal.view, build_family(literal))
+        assert rep.per_curve == oracle_incidences(literal.p1_params, literal)
         with pytest.raises(FormatError, match=r"bad rational literal: '1\.5'"):
-            ParamGrid(params=("1.5",))
+            Config.of(2, 1, ["1.5"], [(0, 1), (1, 2)])
 
     def test_json_shape(self):
-        rep = incidences(ParamGrid.from_config(WORKED), build_family(WORKED))
+        rep = incidences(WORKED.view, build_family(WORKED))
         assert rep.to_json_dict() == {
             "total": 4,
             "per_sign": {"pos": 2, "neg": 2},
@@ -296,8 +291,8 @@ class TestBranches:
         for seed in (3, 7):
             cfg = gen_random(n=6, m=5, k=2, seed=seed, coord_range=99)
             family = build_family(cfg)
-            grid = ParamGrid.from_config(cfg)
-            seen = sum(h.contains(s, t) for h in family.curves for s in grid.params for t in grid.params)
+            params = cfg.p1_params
+            seen = sum(h.contains(s, t) for h in family.curves for s in params for t in params)
             assert seen == energy_report(cfg).energy_cross
 
 

@@ -19,7 +19,6 @@ from ddlab import (
     DuplicateCurveError,
     IncidenceReport,
     Config,
-    ParamGrid,
     SqDistMatrix,
     build_family,
     distance_classes,
@@ -34,7 +33,7 @@ from ddlab import (
 )
 from ddlab.energy import _numpy_report, energy
 from ddlab.io import read_matrix, write_gamma_csv, write_matrix
-from conftest import fractional_config, sign_split
+from conftest import foreign_grid, fractional_config, sign_split
 
 DENOMINATORS = (1, 2, 3, 5, 7, 12)
 
@@ -93,10 +92,11 @@ def test_int_kernels_match_rational_references(cfg, foreign_params):
     )
 
     # the config's own grid, then one whose denominators the family's scale misses
-    for grid in (ParamGrid.from_config(cfg), ParamGrid(params=tuple(sorted(foreign_params)))):
+    foreign = sorted(foreign_params)
+    for params, grid in ((cfg.p1_params, cfg.view), (foreign, foreign_grid(foreign))):
         fast = incidences(grid, family)
-        assert fast.per_curve == oracle_incidences(grid, cfg)
-    assert incidences(ParamGrid.from_config(cfg), family).total == rep.energy_cross
+        assert fast.per_curve == oracle_incidences(params, cfg)
+    assert incidences(cfg.view, family).total == rep.energy_cross
 
 
 # A narrow coordinate range makes grid values collide, so the incidence count
@@ -145,16 +145,16 @@ def _mirror(per_curve, m: int) -> list[int]:
 @given(dense_families(), st.lists(rationals(), max_size=6))
 def test_join_per_curve_matches_oracle(cfg_family, foreign_params):
     cfg, family = cfg_family
-    own = incidences(ParamGrid.from_config(cfg), family)
+    own = incidences(cfg.view, family)
     target(float(own.total), label="incidences on the config's grid")
     assert own.total == energy_report(cfg).energy_cross
     # (s, t) on curve (i, j) iff (t, s) on curve (j, i), and the swap flips gamma's sign
     assert list(own.per_curve) == _mirror(own.per_curve, cfg.m)
     assert sign_split(own.per_curve, family) == (own.total // 2, own.total // 2)
     # a grid of other denominators, possibly with repeated values
-    for grid in (ParamGrid.from_config(cfg), ParamGrid(params=tuple(foreign_params))):
+    for params, grid in ((cfg.p1_params, cfg.view), (foreign_params, foreign_grid(foreign_params))):
         fast = incidences(grid, family)
-        per_curve = oracle_incidences(grid, cfg)
+        per_curve = oracle_incidences(params, cfg)
         assert fast.per_curve == per_curve
         assert fast.total == sum(fast.per_curve)
         assert sign_split(per_curve, family) == (fast.total // 2, fast.total // 2)
@@ -167,10 +167,9 @@ def test_join_counts_a_value_taken_twice_by_one_row(order):
     points = [(0, 1, 0), (2, 1, 1)]
     cfg = Config.of(k=3, c=1, p1_params=[-1, 1, 2], p2_points=[points[i] for i in order])
     family = build_family(cfg)
-    grid = ParamGrid.from_config(cfg)
-    rep = incidences(grid, family)
+    rep = incidences(cfg.view, family)
     assert rep.per_curve == (2, 2)
-    assert rep.per_curve == oracle_incidences(grid, cfg)
+    assert rep.per_curve == oracle_incidences(cfg.p1_params, cfg)
     assert rep.total == energy_report(cfg).energy_cross == 4
 
 
@@ -179,27 +178,28 @@ def test_join_on_a_grid_the_family_scale_misses():
     cfg = Config.of(k=2, c=1, p1_params=[0], p2_points=[(0, 2), (1, 1)])
     family = build_family(cfg)
     assert family.scale == 1
-    fifths = ParamGrid(params=tuple(Fraction(a, 5) for a in range(-20, 21)))
-    integers = ParamGrid(params=tuple(Fraction(a) for a in range(-4, 5)))
-    rep = incidences(fifths, family)
+    fifths = [Fraction(a, 5) for a in range(-20, 21)]
+    rep = incidences(foreign_grid(fifths), family)
     assert rep.per_curve == oracle_incidences(fifths, cfg)
-    assert rep.total > incidences(integers, family).total > 0
+    assert rep.total > incidences(foreign_grid(range(-4, 5)), family).total > 0
 
 
 def test_join_with_no_incidences():
     cfg = Config.of(k=2, c=1, p1_params=[0], p2_points=[(0, 1), (5, 3)])
     family = build_family(cfg)
     zero = IncidenceReport(total=0, per_curve=(0, 0))
-    for grid in (ParamGrid.from_config(cfg), ParamGrid(params=(Fraction(1, 3),)), ParamGrid(params=())):
-        assert incidences(grid, family) == zero
-        assert oracle_incidences(grid, cfg) == zero.per_curve
+    assert incidences(cfg.view, family) == zero
+    assert oracle_incidences(cfg.p1_params, cfg) == zero.per_curve
+    for params in ([Fraction(1, 3)], []):
+        assert incidences(foreign_grid(params), family) == zero
+        assert oracle_incidences(params, cfg) == zero.per_curve
     assert energy_report(cfg).energy_cross == 0
 
 
 def test_join_at_400_matches_energy():
     cfg = gen_random(n=400, m=400, k=2, seed=7, coord_range=1600)
     family = build_family(cfg)
-    rep = incidences(ParamGrid.from_config(cfg), family)
+    rep = incidences(cfg.view, family)
     assert rep.total == energy_report(cfg).energy_cross > 0
     assert sign_split(rep.per_curve, family) == (rep.total // 2, rep.total // 2)
     assert len(rep.per_curve) == 400 * 399
@@ -237,7 +237,7 @@ def _refuse_fraction_arithmetic(monkeypatch) -> None:
 def test_kernels_do_no_fraction_arithmetic(monkeypatch):
     cfg = fractional_config(4, n=5, m=5, k=3)
     mat = SqDistMatrix.from_config(cfg)
-    grid = ParamGrid(params=(Fraction(1, 7), Fraction(2, 5), Fraction(3)))
+    grid = foreign_grid([Fraction(1, 7), Fraction(2, 5), Fraction(3)])
     _refuse_fraction_arithmetic(monkeypatch)
     energy_report(cfg)
     energy_report(mat)
@@ -245,7 +245,7 @@ def test_kernels_do_no_fraction_arithmetic(monkeypatch):
     write_matrix(mat, buf)  # the file reader and writer stay on the scaled ints too
     assert read_matrix(io.StringIO(buf.getvalue())).scaled == mat.scaled
     family = build_family(cfg)
-    for g in (ParamGrid.from_config(cfg), grid):
+    for g in (cfg.view, grid):
         incidences(g, family)
 
 
