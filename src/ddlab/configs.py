@@ -12,13 +12,14 @@ points on one cylinder around the axis (max(n, m) distinct squared
 distances) and the analytic matrix with entry i + j (n + m - 1 distinct
 values). They witness that the multiplicity conditions cannot be dropped.
 
-SqDistMatrix holds a table of squared distances in canonical int form, a
-scale and an int table over it, so its producers (the file reader,
-from_config and the orthogonal generator) and the energy kernels never walk
-a Fraction per entry. It holds values only, so == is value equality: a
-matrix equals itself after a save and a load. Source, a Config or a
-SqDistMatrix, is what the energy kernels, the oracles and the file loader
-accept.
+SqDistMatrix holds a table of squared distances in one form, its canonical
+int form: a scale and an int table over it, so its producers (the file
+reader, from_config and the orthogonal generator), the energy kernels and
+the reference paths (distance_classes and the oracles, through
+exact.sq_dist_rows) never walk a Fraction per entry. It holds values only,
+so == is value equality: a matrix equals itself after a save and a load.
+Source, a Config or a SqDistMatrix, is what the energy kernels, the oracles
+and the file loader accept.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import enum
 import math
 import random
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain
 from typing import Iterable, Union
 
 from .errors import (
@@ -135,8 +134,8 @@ class SqDistMatrix:
     The table is kept in canonical int form: entry (i, j) is
     scaled[i][j] / scale, with scale > 0 and no common factor left between
     scale and every entry, so equal values give equal ints and == compares
-    values. Readers, generators and the energy kernels work on the ints;
-    entries, the table as Fractions, is built on first use.
+    values. This is the matrix's only form: readers, generators, the
+    energy kernels and exact.sq_dist_rows all work on the ints.
     """
 
     n: int
@@ -169,13 +168,6 @@ class SqDistMatrix:
         """Build the canonical table from rational entries (ints, Fractions or literals)."""
         scale, scaled = scale_table([tuple(row) for row in entries], _frac)
         return cls(n=n, m=m, scale=scale, scaled=scaled)
-
-    @cached_property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The table as Fractions, one shared Fraction per distinct value."""
-        scale = self.scale
-        memo = {v: Fraction(v, scale) for v in set(chain.from_iterable(self.scaled))}
-        return tuple(tuple(map(memo.__getitem__, row)) for row in self.scaled)
 
     @classmethod
     def from_config(cls, cfg: Config) -> "SqDistMatrix":

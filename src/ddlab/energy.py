@@ -23,10 +23,12 @@ energy_report counts on plain ints: it reads a config's scaled view,
 Config.view (every squared distance times L^2), and a matrix's
 canonical int table (SqDistMatrix.scaled) as it is, and one positive factor
 keeps every equality.
-distance_classes stays on the original rationals and checks that scaling:
-it groups a config's pairs by the reduced (numerator, denominator) int pair
-of each squared distance (exact.sq_dist_rows, one gcd per value) and builds
-one Fraction key per class at the end.
+distance_classes groups the pairs of either source by the reduced
+(numerator, denominator) int pair of each squared distance
+(exact.sq_dist_rows, one gcd per value) and builds one Fraction key per
+class at the end. On a config it reads the original rationals, so it
+checks that scaling; on a matrix it reads the same canonical ints as
+energy_report, the matrix's only form.
 
 energy_report has two kernels. The stdlib kernel streams one column at a
 time through Counters; it runs on every input and is the reference. On
@@ -177,17 +179,11 @@ class ChainReport:
 
 def distance_classes(src: Source) -> DistanceClasses:
     """Group all n*m (P1 index, P2 index) pairs by exact rational squared distance."""
-    classes: dict = {}
-    if isinstance(src, SqDistMatrix):
-        for i, row in enumerate(src.entries):
-            for j, d in enumerate(row):
-                classes.setdefault(d, []).append((i, j))
-    else:
-        by_key: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for i, row in enumerate(sq_dist_rows(src)):
-            for j, key in enumerate(row):
-                by_key.setdefault(key, []).append((i, j))
-        classes = {Fraction(num, den): pairs for (num, den), pairs in by_key.items()}
+    by_key: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, row in enumerate(sq_dist_rows(src)):
+        for j, key in enumerate(row):
+            by_key.setdefault(key, []).append((i, j))
+    classes = {Fraction(num, den): pairs for (num, den), pairs in by_key.items()}
     return DistanceClasses(n=src.n, m=src.m, classes=classes)
 
 

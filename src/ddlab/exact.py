@@ -19,10 +19,13 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from .errors import FormatError, excerpt
 from .records import frozen_record
+
+if TYPE_CHECKING:  # configs.py imports this module
+    from .configs import SqDistMatrix
 
 Rational = Union[int, Fraction]
 
@@ -110,22 +113,29 @@ def sq_dist(a_param: Rational | str, p: Point) -> Fraction:
     return d * d + rho_sq(p)
 
 
-def sq_dist_rows(cfg: Config, params: Iterable[Rational] | None = None) -> Iterator[list[tuple[int, int]]]:
-    """Each axis parameter's squared distances to every P2 point, as reduced pairs.
+def sq_dist_rows(
+    src: Config | SqDistMatrix, params: Iterable[Rational] | None = None
+) -> Iterator[list[tuple[int, int]]]:
+    """Each row of a source's squared distances, as reduced (numerator, denominator) pairs.
 
-    Row i holds sq_dist(a, p) for the i-th parameter a (of params, by
-    default cfg.p1_params) and each P2 point p, in order, as its reduced
-    (numerator, denominator): equal pairs iff equal values. Each
-    value costs one gcd instead of a chain of Fraction operators. With
-    a = an/ad, the point's first coordinate f = fn/fd and r = rho_sq = rn/rd,
-    a - f = tn/td for tn = an fd - fn ad and td = ad fd, so
-    (a - f)^2 + r = (tn^2 rd + rn td^2) / (td^2 rd).
+    Equal pairs iff equal values, at one gcd per value instead of a chain of
+    Fraction operators. A matrix's canonical int v at scale L gives
+    (v / g, L / g), g = gcd(v, L). A config's row i holds sq_dist(a, p) for
+    the i-th a of params (default src.p1_params; a matrix ignores params) and
+    each P2 point p, in order. With a = an/ad, p's first coordinate f = fn/fd
+    and r = rho_sq = rn/rd, a - f = tn/td for tn = an fd - fn ad and td = ad fd,
+    so (a - f)^2 + r = (tn^2 rd + rn td^2) / (td^2 rd).
     """
+    if not isinstance(src, Config):  # a SqDistMatrix
+        scale = src.scale
+        for row in src.scaled:
+            yield [(v // (g := math.gcd(v, scale)), scale // g) for v in row]
+        return
     cols = []
-    for p in cfg.p2_points:
+    for p in src.p2_points:
         f, r = p.coords[0], rho_sq(p)
         cols.append((f.numerator, f.denominator, r.numerator, r.denominator))
-    for a in cfg.p1_params if params is None else params:
+    for a in src.p1_params if params is None else params:
         an, ad = a.numerator, a.denominator
         row = []
         for fn, fd, rn, rd in cols:

@@ -2,13 +2,15 @@
 
 These recompute the quadruple counts and the per-curve incidence counts
 straight from their definitions, sharing no counting logic with the fast
-paths they check. They read only the input's own rationals (a config's
-points and axis parameters, a matrix's entries, the grid's parameters),
-never the scaled int view, a curve family or a hash table, so they check
-the scaling, the family build and the incidence join independently. Each
-squared distance is compared as its reduced (numerator, denominator) pair,
-which equals another pair exactly when the values are equal, computed from
-the numerators and denominators of the inputs with one gcd per value
+paths they check. They read only the input's own values (a config's
+points and axis parameters, a matrix's canonical table, its only form, the
+grid's parameters), never a config's scaled int view, a curve family or a
+hash table, so they check a config's scaling, the family build and the
+incidence join independently. On a matrix the quadruple oracle and the
+fast energy kernel read the same canonical ints. Each squared distance is
+compared as its reduced (numerator, denominator) pair, which equals
+another pair exactly when the values are equal, computed from the
+numerators and denominators of the inputs with one gcd per value
 (exact.sq_dist_rows), never through a chain of Fraction operators. Every
 ordered pair of pairs and every (curve, grid point) is still compared.
 Guards, checked before any table is built, keep them at desk scale; past
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .configs import Source, SqDistMatrix
+from .configs import Source
 from .errors import TooLargeError
 from .exact import Config, Rational, sq_dist_rows
 
@@ -32,11 +34,7 @@ def oracle_quadruples(src: Source) -> tuple[int, int, int]:
     n, m = src.n, src.m
     if n * m > QUADRUPLE_GUARD:
         raise TooLargeError(f"n*m = {n * m} exceeds the oracle guard {QUADRUPLE_GUARD}")
-    if isinstance(src, SqDistMatrix):
-        rows = [[(d.numerator, d.denominator) for d in row] for row in src.entries]
-    else:
-        rows = sq_dist_rows(src)
-    flat = [(j, d) for row in rows for j, d in enumerate(row)]
+    flat = [(j, d) for row in sq_dist_rows(src) for j, d in enumerate(row)]
     q = 0
     q0 = 0
     for j, d in flat:

@@ -162,8 +162,11 @@ def build_family(cfg: Config) -> HyperbolaFamily:
 
 @frozen_record
 class IncidenceReport:
-    total: int
     per_curve: tuple[int, ...]
+
+    @property
+    def total(self) -> int:
+        return sum(self.per_curve)
 
     def to_json_dict(self) -> dict:
         return {
@@ -207,7 +210,7 @@ def incidences(grid: IntView, family: HyperbolaFamily) -> IncidenceReport:
         for i, j in permutations(points, 2):
             if i != j:
                 per_curve[i * (m - 1) + j - (j > i)] += 1
-    return IncidenceReport(total=sum(per_curve), per_curve=tuple(per_curve))
+    return IncidenceReport(per_curve=tuple(per_curve))
 
 
 @frozen_record

@@ -43,6 +43,11 @@ def foreign_grid(params) -> IntView:
     return IntView(scale, tuple(scaled_ints(params, scale)), (), ())
 
 
+def matrix_values(mat) -> tuple[tuple[Fraction, ...], ...]:
+    """A SqDistMatrix's table as Fractions, read off its canonical (scale, scaled)."""
+    return tuple(tuple(Fraction(v, mat.scale) for v in row) for row in mat.scaled)
+
+
 def small_random_config(seed: int, max_nm: int = 12, ks: tuple[int, ...] = (2, 3, 4)) -> Config:
     """A c=1 random config with dims derived from the seed, always valid."""
     rng = random.Random(seed ^ 0x5EED)

@@ -229,7 +229,7 @@ class TestVerify:
         def injected(grid, family):
             rep = real(grid, family)
             assert rep.per_curve == (2, 2)
-            return IncidenceReport(total=rep.total, per_curve=(1, 3))
+            return IncidenceReport(per_curve=(1, 3))
 
         monkeypatch.setattr(ddlab.cli, "incidences", injected)
         code, out = run_cli("verify", "--input", str(path), capsys=capsys)

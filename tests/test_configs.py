@@ -30,7 +30,7 @@ from ddlab import (
     validate_constraints,
 )
 from ddlab.io import read_matrix, write_matrix
-from conftest import clustered_config, fractional_config, small_random_config
+from conftest import clustered_config, fractional_config, matrix_values, small_random_config
 
 
 class TestPrunePlanar:
@@ -146,12 +146,12 @@ class TestOrthogonal:
     def test_entries(self):
         mat = gen_orthogonal_extremal(2, 3)
         assert (mat.scale, mat.scaled) == (1, ((2, 3, 4), (3, 4, 5)))
-        assert mat.entries == ((2, 3, 4), (3, 4, 5))
+        assert mat == SqDistMatrix.of(2, 3, ((2, 3, 4), (3, 4, 5)))
 
     @pytest.mark.parametrize("n,m", [(1, 1), (4, 9), (9, 4), (10, 10)])
     def test_distinct_count(self, n, m):
         mat = gen_orthogonal_extremal(n, m)
-        values = {v for row in mat.entries for v in row}
+        values = {v for row in matrix_values(mat) for v in row}
         assert values == {Fraction(d) for d in range(2, n + m + 1)}
 
     def test_rejects_zero(self):
@@ -172,8 +172,8 @@ class TestSqDistMatrix:
             assert (mat.n, mat.m) == (cfg.n, cfg.m)
             for i, a in enumerate(cfg.p1_params):
                 for j, p in enumerate(cfg.p2_points):
-                    assert mat.entries[i][j] == sq_dist(a, p)
-                    assert type(mat.entries[i][j]) is Fraction
+                    assert Fraction(mat.scaled[i][j], mat.scale) == sq_dist(a, p)
+                    assert type(mat.scaled[i][j]) is int
 
     def test_shape_and_sign_checks(self):
         with pytest.raises(ValueError):
@@ -182,7 +182,7 @@ class TestSqDistMatrix:
             with pytest.raises(ValueError):
                 SqDistMatrix.of(n=1, m=1, entries=((bad,),))
         zero = SqDistMatrix.of(n=1, m=2, entries=((0, Fraction(0, 5)),))
-        assert zero.entries == ((Fraction(0), Fraction(0)),)
+        assert (zero.scale, zero.scaled) == (1, ((0, 0),))
 
     def test_canonical_scale(self):
         # a common factor of scale and every entry is divided out, so == is value equality
@@ -191,7 +191,7 @@ class TestSqDistMatrix:
         assert mat == SqDistMatrix.of(1, 3, [["1/2", "3/2", "0"]])
         for scale in (5, 1):
             empty = SqDistMatrix(n=0, m=2, scale=scale, scaled=())
-            assert empty.scale == 1 and empty.entries == ()
+            assert empty.scale == 1 and empty.scaled == ()
         with pytest.raises(ValueError):
             SqDistMatrix(n=1, m=1, scale=0, scaled=((1,),))
 
@@ -227,8 +227,8 @@ def test_canonical_matrix_from_any_rational_table(table):
     n, m, texts = table
     values = tuple(tuple(parse_rational(t) for t in row) for row in texts)
     mat = SqDistMatrix.of(n, m, texts)
-    assert mat.entries == values
-    assert all(type(v) is Fraction for row in mat.entries for v in row)
+    assert matrix_values(mat) == values
+    assert all(type(v) is int for row in mat.scaled for v in row)
     assert mat.scale == math.lcm(*(v.denominator for row in values for v in row))
     assert SqDistMatrix.of(n, m, values) == mat
     assert _round_trip(mat) == mat

@@ -36,7 +36,6 @@ from ddlab import (
 )
 import ddlab.energy as energy_mod
 from ddlab.energy import NUMPY_MIN_PAIRS, _numpy_report, _stdlib_report, _table_dtype, energy
-from ddlab.exact import common_denominator
 from conftest import clustered_config, fractional_config, small_random_config
 
 WORKED = Config.of(2, 1, [0, 2], [(0, 1), (1, 2)])
@@ -278,10 +277,9 @@ def near_limit(src, limit: int, above: bool, slack: int):
     """src with one far value added: the numpy kernel's bound on the largest
     intermediate value lands just below limit, or at or just above it."""
     if isinstance(src, SqDistMatrix):
-        scale = common_denominator(v for row in src.entries for v in row)
-        far = Fraction(limit + slack if above else limit - 1 - slack, scale)
+        far = limit + slack if above else limit - 1 - slack
         # a whole row of the far value, so that a class sits at the top of the range
-        return SqDistMatrix.of(src.n + 1, src.m, src.entries + ((far,) * src.m,))
+        return SqDistMatrix(src.n + 1, src.m, src.scale, src.scaled + ((far,) * src.m,))
     # one far point at scaled squared axis distance limit / 2, half the
     # budget, and on the far side of the largest axis parameter:
     # (|top| + s)^2 + limit / 2 is both the bound and the largest table entry

@@ -32,7 +32,7 @@ from ddlab.io import (
     write_gamma_csv,
     write_matrix,
 )
-from conftest import fractional_config, small_random_config
+from conftest import fractional_config, matrix_values, small_random_config
 
 
 def round_trip_config(cfg: Config) -> Config:
@@ -125,7 +125,7 @@ class TestMatrixFormat:
         buf = io.StringIO()
         write_matrix(mat, buf)
         back = read_matrix(io.StringIO(buf.getvalue()))
-        assert back.entries == mat.entries
+        assert matrix_values(back) == ((Fraction(1, 3), 5), (0, Fraction(7, 2)))
         assert back == mat
 
     def test_round_trip_without_columns(self):
@@ -195,7 +195,7 @@ def test_loader_sniffs(tmp_path):
     save_source(mat, mat_path)
     loaded = load_source(mat_path)
     assert isinstance(loaded, SqDistMatrix)
-    assert loaded.entries == mat.entries
+    assert loaded == mat
 
     bad = tmp_path / "bad.csv"
     bad.write_text("x=1\n", encoding="utf-8")
@@ -214,7 +214,7 @@ def test_loader_parses_each_distinct_literal_once(monkeypatch):
     mat = gen_orthogonal_extremal(400, 400)
     buf = io.StringIO()
     write_matrix(mat, buf)
-    assert read_matrix(io.StringIO(buf.getvalue())).entries == mat.entries
+    assert read_matrix(io.StringIO(buf.getvalue())) == mat
     assert len(calls) == 799  # the values 2..800, among 160,000 entries
 
     calls.clear()
@@ -239,9 +239,7 @@ def test_matrix_stats_makes_no_fraction_per_entry(tmp_path, monkeypatch, capsys)
     assert json.loads(capsys.readouterr().out)["x"] == 799
     assert len(made) == 799  # parse_rational of each distinct literal, nothing per entry
     mat = load_source(path)
-    made.clear()
-    assert mat.entries[399][399] == 800
-    assert len(made) == 799  # entries shares one Fraction per distinct value
+    assert (mat.scale, mat.scaled[399][399]) == (1, 800)
 
 
 def test_bad_literal_raises_every_time():
@@ -310,8 +308,8 @@ def test_memoized_matrix_read_matches_entrywise_parse(data):
             read_matrix(io.StringIO(text))
         return
     mat = read_matrix(io.StringIO(text))
-    assert mat.entries == expected
-    assert all(type(v) is Fraction for row in mat.entries for v in row)
+    assert matrix_values(mat) == expected
+    assert all(type(v) is int for row in mat.scaled for v in row)
 
 
 # Lines of a wrong shape for k, each with the error that reports it.

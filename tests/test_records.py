@@ -205,10 +205,11 @@ def test_post_init_normalizes_and_validates_either_way():
 
 
 def test_cached_properties_do_not_change_equality():
-    mat, fresh_mat = SqDistMatrix.from_config(RADICAL_LINE), SqDistMatrix.from_config(RADICAL_LINE)
-    text = repr(mat)
-    assert mat.entries and "entries" in vars(mat)
-    assert mat == fresh_mat and hash(mat) == hash(fresh_mat) and repr(mat) == text
+    k, c, params, points = RADICAL_LINE.k, RADICAL_LINE.c, RADICAL_LINE.p1_params, RADICAL_LINE.p2_points
+    cfg, fresh_cfg = Config(k, c, params, points), Config(k, c, params, points)
+    text = repr(cfg)
+    assert cfg.view and "view" in vars(cfg)
+    assert cfg == fresh_cfg and hash(cfg) == hash(fresh_cfg) and repr(cfg) == text
 
     family, fresh_family = build_family(RADICAL_LINE), build_family(RADICAL_LINE)
     text = repr(family)

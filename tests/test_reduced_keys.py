@@ -1,7 +1,8 @@
 """The reduced (numerator, denominator) int pairs against plain Fraction arithmetic.
 
 distance_classes, oracle_quadruples and oracle_incidences compute each
-rational as a reduced int pair with one gcd. The references here are the
+rational as a reduced int pair with one gcd (exact.sq_dist_rows, which reads
+a config's rationals or a matrix's canonical ints). The references here are the
 Fraction operator chains those functions used before, copied into the test.
 """
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from ddlab import (
     Config,
+    SqDistMatrix,
     build_family,
     distance_classes,
     gen_random,
@@ -87,6 +89,7 @@ def test_rows_are_reduced_squared_distances(cfg):
     for a, row in zip(cfg.p1_params, rows):
         want = [sq_dist(a, p) for p in cfg.p2_points]
         assert row == [(d.numerator, d.denominator) for d in want]
+    assert list(sq_dist_rows(SqDistMatrix.from_config(cfg))) == rows
 
 
 @settings(max_examples=250, deadline=None)
@@ -106,8 +109,12 @@ def test_distance_classes_build_one_fraction_per_class(monkeypatch):
 
     cfg = gen_random(n=40, m=40, k=2, seed=11, coord_range=80)
     want = reference_classes(cfg)
+    mat = SqDistMatrix.from_config(cfg)
     monkeypatch.setattr(energy_mod, "Fraction", counting)
-    got = distance_classes(cfg)
-    assert got.classes == want
-    assert len(made) == got.distinct_count
-    assert got.distinct_count < cfg.n * cfg.m  # a per-pair Fraction would show
+    for src in (cfg, mat):
+        made.clear()
+        got = distance_classes(src)
+        assert got.classes == want
+        assert list(got.classes) == list(want)  # first-seen key order
+        assert len(made) == got.distinct_count
+        assert got.distinct_count < cfg.n * cfg.m  # a per-pair Fraction would show

@@ -187,7 +187,7 @@ def test_join_on_a_grid_the_family_scale_misses():
 def test_join_with_no_incidences():
     cfg = Config.of(k=2, c=1, p1_params=[0], p2_points=[(0, 1), (5, 3)])
     family = build_family(cfg)
-    zero = IncidenceReport(total=0, per_curve=(0, 0))
+    zero = IncidenceReport(per_curve=(0, 0))
     assert incidences(cfg.view, family) == zero
     assert oracle_incidences(cfg.p1_params, cfg) == zero.per_curve
     for params in ([Fraction(1, 3)], []):
