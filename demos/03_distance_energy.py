@@ -29,15 +29,17 @@ for d, pairs in sorted(classes.classes.items()):
 
 # Q counts ordered pairs of pairs with equal distance; Q0 is the part that
 # reuses a point column, Q1 the rest. The report stores only Q0 and the
-# class-size histogram: x, Q and Q1 are read off those two.
-rep = energy(classes)
+# class-size histogram: x, Q and Q1 are read off those two. energy counts
+# them straight from the exact squared distances, column by column, without
+# the pair lists above.
+rep = energy(cfg)
 print("\nQ  =", rep.energy)
 print("Q0 =", rep.energy_same_point, " (<= n*m =", rep.n * rep.m, ")")
 print("Q1 =", rep.energy_cross)
 print("class histogram (size, count):", rep.class_histogram)
 
-# The streaming route gives the identical report without pair lists, and the
-# quadruple oracle re-counts everything by brute force.
+# The streaming route, on the config scaled into ints, gives the identical
+# report, and the quadruple oracle re-counts everything by brute force.
 assert energy_report(cfg) == rep
 assert oracle_quadruples(cfg) == (rep.energy, rep.energy_same_point, rep.energy_cross)
 print("streaming route and brute-force oracle agree")

@@ -214,7 +214,6 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
         else sum(1 for col in zip(*src.scaled) if max(Counter(col).values()) > 2)
     )
     rep = _once(lambda: energy_report(src))
-    classes = _once(lambda: distance_classes(src))
     reducible = _once(
         lambda: isinstance(src, Config) and m >= 2 and validate_constraints(src, c=1).ok
     )
@@ -233,7 +232,7 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
         return "PASS", "no column repeats a value more than twice"
 
     def class_grouping():
-        if rep() == energy(classes()):
+        if rep() == energy(src):
             return "PASS", "streamed and materialized grouping agree"
         return "FAIL", "streamed and materialized grouping disagree"
 
@@ -287,7 +286,7 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
         # below the guard, every cross quadruple's image must lie on its curve
         if n * m <= QUADRUPLE_GUARD:
             curves: dict = {}  # built as the images reach them
-            for quad, (s, t), pair in _quadruple_images(src, classes()):
+            for quad, (s, t), pair in _quadruple_images(src, distance_classes(src)):
                 if pair not in curves:
                     curves[pair] = family().curve(*pair)
                 if not curves[pair].contains(s, t):

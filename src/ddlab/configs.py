@@ -15,7 +15,7 @@ values). They witness that the multiplicity conditions cannot be dropped.
 SqDistMatrix holds a table of squared distances in one form, its canonical
 int form: a scale and an int table over it, so its producers (the file
 reader, from_config and the orthogonal generator), the energy kernels and
-the reference paths (distance_classes and the oracles, through
+the reference paths (energy, distance_classes and the oracles, through
 exact.sq_dist_rows) never walk a Fraction per entry. It holds values only,
 so == is value equality: a matrix equals itself after a save and a load.
 Source, a Config or a SqDistMatrix, is what the energy kernels, the oracles

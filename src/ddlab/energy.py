@@ -23,24 +23,25 @@ energy_report counts on plain ints: it reads a config's scaled view,
 Config.view (every squared distance times L^2), and a matrix's
 canonical int table (SqDistMatrix.scaled) as it is, and one positive factor
 keeps every equality.
-distance_classes groups the pairs of either source by the reduced
-(numerator, denominator) int pair of each squared distance
-(exact.sq_dist_rows, one gcd per value) and builds one Fraction key per
-class at the end. On a config it reads the original rationals, so it
-checks that scaling; on a matrix it reads the same canonical ints as
-energy_report, the matrix's only form.
+energy, the reference, counts the reduced (numerator, denominator) int
+pair of each squared distance (exact.sq_dist_rows, one gcd per value) one
+P2 column at a time, sharing no code with energy_report. On a config it
+reads the original rationals, so it checks that scaling; on a matrix, the
+same canonical ints as energy_report. distance_classes groups the pairs by
+these keys, one Fraction key per class, for verify's bijection audit.
 
 energy_report has two kernels. The stdlib kernel streams one column at a
-time through Counters; it runs on every input and is the reference. On
-inputs of at least NUMPY_MIN_PAIRS pairs the numpy kernel sorts a table
-instead, provided numpy can be imported and a bound computed up front in
-Python ints keeps every intermediate value below 2^63; otherwise
-energy_report falls back to the stdlib kernel. The table is int32 when
-that bound is below 2^31 and int64 otherwise; a matrix's table is filled
-column-major straight from its int rows. Beside it the kernel holds
-only block-sized scratch: it marks run starts one block at a time, so its
-working set is about itemsize bytes per pair plus a fixed few hundred kB.
-numpy is imported only there, so smaller inputs never pay for loading it.
+time through Counters; it runs on every input and is the numpy kernel's
+reference. On inputs of at least NUMPY_MIN_PAIRS pairs the numpy kernel
+sorts a table instead, provided numpy can be imported and a bound
+computed up front in Python ints keeps every intermediate value below
+2^63; otherwise energy_report falls back to the stdlib kernel. The table
+is int32 when that bound is below 2^31 and int64 otherwise; a matrix's
+table is filled column-major straight from its int rows. Beside it the
+kernel holds only block-sized scratch: it marks run starts one block at a
+time, so its working set is about itemsize bytes per pair plus a fixed
+few hundred kB. numpy is imported only there, so smaller inputs never pay
+for loading it.
 """
 
 from __future__ import annotations
@@ -187,24 +188,23 @@ def distance_classes(src: Source) -> DistanceClasses:
     return DistanceClasses(n=src.n, m=src.m, classes=classes)
 
 
-def energy(classes: DistanceClasses) -> EnergyReport:
-    """Exact ordered-quadruple energy of a class partition, split by column reuse."""
+def energy(src: Source) -> EnergyReport:
+    """The reference EnergyReport: counts the reduced-pair keys of
+    exact.sq_dist_rows one P2 column at a time, building no pair list and no
+    Fraction, and reading the input's own values, never Config.view."""
+    sizes: Counter = Counter()
     q0 = 0
-    hist: Counter = Counter()
-    for pairs in classes.classes.values():
-        e = len(pairs)
-        hist[e] += 1
-        if e < 2:
-            continue
-        q0 += sum(cnt * (cnt - 1) for cnt in Counter(j for _, j in pairs).values())
-    return EnergyReport(classes.n, classes.m, q0, tuple(sorted(hist.items())))
+    for col in zip(*sq_dist_rows(src)):
+        sizes.update(col)
+        q0 += sum(c * (c - 1) for c in Counter(col).values())
+    return EnergyReport(src.n, src.m, q0, tuple(sorted(Counter(sizes.values()).items())))
 
 
 def energy_report(src: Source) -> EnergyReport:
     """EnergyReport straight from a source, without materializing pair lists.
 
-    Agrees exactly with energy(distance_classes(src)). Large inputs go to the
-    numpy kernel when it can count them exactly, everything else to the
+    Agrees exactly with energy(src), the reference count. Large inputs go to
+    the numpy kernel when it can count them exactly, everything else to the
     stdlib kernel (see the module docstring).
     """
     if src.n * src.m >= NUMPY_MIN_PAIRS:

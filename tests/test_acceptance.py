@@ -25,7 +25,6 @@ from ddlab import (
     build_family,
     check_chain,
     clamped_log,
-    distance_classes,
     distinct_lower_bound,
     energy_report,
     gen_cylinder_extremal,
@@ -110,7 +109,7 @@ def test_01_energy_oracle(corpus):
         start = time.monotonic()
         for cfg in corpus:
             rep = energy_report(cfg)
-            assert rep == energy(distance_classes(cfg))
+            assert rep == energy(cfg)
             q, q0, q1 = oracle_quadruples(cfg)
             assert (rep.energy, rep.energy_same_point, rep.energy_cross) == (q, q0, q1)
         elapsed = time.monotonic() - start

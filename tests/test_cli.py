@@ -16,7 +16,7 @@ import ddlab.cli
 import ddlab.reduction
 from ddlab import Hyperbola, HyperbolaFamily, IncidenceReport, energy_report, gen_random
 from ddlab.cli import main
-from ddlab.exact import IntView
+from ddlab.exact import Config, IntView
 from ddlab.io import load_source, save_source
 from conftest import RADICAL_LINE
 
@@ -279,6 +279,24 @@ class TestVerify:
         assert code == 1
         assert "FAIL incidence-modes: hash 4 vs naive 10\n" in out
         assert "FAIL incidence-oracle: oracle 10 vs fast 4\n" in out
+
+    def test_view_with_a_copied_column_fails_class_grouping(self, capsys, monkeypatch):
+        # past QUADRUPLE_GUARD energy-oracle SKIPs, and class-grouping alone
+        # checks energy_report's counts: a view in which P2 point 1 takes
+        # point 0's column fails it, as the reference reads the rationals
+        real = Config.__dict__["view"].func
+
+        def copied_column(cfg):
+            view = real(cfg)
+            firsts = (view.firsts[0],) * 2 + view.firsts[2:]
+            rhos = (view.rhos[0],) * 2 + view.rhos[2:]
+            return IntView(view.scale, view.params, firsts, rhos)
+
+        monkeypatch.setattr(Config, "view", property(copied_column))
+        code, out = run_cli("verify", "--input", str(DATA / "verify" / "incidence-guard.csv"), capsys=capsys)
+        assert code == 1
+        assert "FAIL class-grouping: streamed and materialized grouping disagree\n" in out
+        assert "SKIP energy-oracle: n*m = 4000 exceeds the oracle guard 2000\n" in out
 
     def test_matrix_off_a_line_fails_constraints(self, tmp_path, capsys):
         # a column with a value three times cannot be distances from a line,

@@ -12,6 +12,7 @@ import sys
 import textwrap
 import tracemalloc
 import types
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,7 +61,7 @@ class TestWorkedExample:
         }
 
     def test_energy_split(self):
-        rep = energy(distance_classes(WORKED))
+        rep = energy(WORKED)
         assert rep.distinct_count == 2
         assert rep.energy == 6
         assert rep.energy_same_point == 2
@@ -68,7 +69,7 @@ class TestWorkedExample:
         assert rep.class_histogram == ((1, 1), (3, 1))
 
     def test_streamed_route_matches(self):
-        assert energy_report(WORKED) == energy(distance_classes(WORKED))
+        assert energy_report(WORKED) == energy(WORKED)
 
     def test_chain(self):
         chain = check_chain(energy_report(WORKED))
@@ -111,7 +112,7 @@ def test_energy_matches_oracle(seed):
         cfg = small_random_config(seed, max_nm=8)
     rep = energy_report(cfg)
     assert (rep.energy, rep.energy_same_point, rep.energy_cross) == oracle_quadruples(cfg)
-    assert rep == energy(distance_classes(cfg))
+    assert rep == energy(cfg)
 
 
 def test_fraction_path_matches_oracle():
@@ -119,7 +120,7 @@ def test_fraction_path_matches_oracle():
         cfg = fractional_config(seed, n=3, m=5, k=2 + seed % 2)
         rep = energy_report(cfg)
         assert (rep.energy, rep.energy_same_point, rep.energy_cross) == oracle_quadruples(cfg)
-        assert rep == energy(distance_classes(cfg))
+        assert rep == energy(cfg)
 
 
 def test_matrix_source_agrees_with_config():
@@ -338,7 +339,13 @@ def test_numpy_kernel_matches_stdlib(src, limit, near, slack):
     dtype = "int32" if near is None else NEAR_DTYPE[limit, near]
     assert chosen == [dtype]
     assert rep == (None if dtype is None else ref)
-    assert ref == energy(distance_classes(src))
+    reference = energy(src)
+    assert ref == reference
+    # the bijection audit's pair lists give the reference's histogram and Q0
+    pairs = distance_classes(src).classes.values()
+    assert tuple(sorted(Counter(map(len, pairs)).items())) == reference.class_histogram
+    q0 = sum(c * (c - 1) for p in pairs for c in Counter(j for _, j in p).values())
+    assert q0 == reference.energy_same_point
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5])
@@ -352,7 +359,7 @@ def test_numpy_kernel_across_run_blocks(block, src):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(energy_mod, "_RUN_BLOCK", block)
         rep = _numpy_report(src)
-    assert rep == _stdlib_report(src) == energy(distance_classes(src))
+    assert rep == _stdlib_report(src) == energy(src)
 
 
 @pytest.mark.parametrize("coord_range, dtype", [(9600, "int32"), (1 << 20, "int64")])

@@ -1,13 +1,15 @@
 """The reduced (numerator, denominator) int pairs against plain Fraction arithmetic.
 
-distance_classes, oracle_quadruples and oracle_incidences compute each
-rational as a reduced int pair with one gcd (exact.sq_dist_rows, which reads
-a config's rationals or a matrix's canonical ints). The references here are the
-Fraction operator chains those functions used before, copied into the test.
+energy, distance_classes, oracle_quadruples and oracle_incidences compute
+each rational as a reduced int pair with one gcd (exact.sq_dist_rows, which
+reads a config's rationals or a matrix's canonical ints). The references
+here are the Fraction operator chains those functions used before, copied
+into the test.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -118,3 +120,7 @@ def test_distance_classes_build_one_fraction_per_class(monkeypatch):
         assert list(got.classes) == list(want)  # first-seen key order
         assert len(made) == got.distinct_count
         assert got.distinct_count < cfg.n * cfg.m  # a per-pair Fraction would show
+        made.clear()
+        rep = energy_mod.energy(src)  # the reference counts the same classes with none
+        assert made == []
+        assert rep.class_histogram == tuple(sorted(Counter(map(len, want.values())).items()))

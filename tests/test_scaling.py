@@ -1,9 +1,10 @@
 """The int kernels against the rational reference paths on mixed denominators.
 
 energy_report, build_family and the incidence join scale their input once
-into plain ints; distance_classes and the oracles stay on the original
-rationals. Each coordinate here draws its own denominator, so the common
-scale is a genuine lcm, sometimes set by the transverse coordinates alone.
+into plain ints; energy, distance_classes and the oracles stay on the
+original rationals. Each coordinate here draws its own denominator, so the
+common scale is a genuine lcm, sometimes set by the transverse coordinates
+alone.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def mixed_configs(draw) -> Config:
 )
 def test_int_kernels_match_rational_references(cfg, foreign_params):
     rep = energy_report(cfg)
-    assert rep == energy(distance_classes(cfg))
+    assert rep == energy(cfg)
     assert (rep.energy, rep.energy_same_point, rep.energy_cross) == oracle_quadruples(cfg)
     mat = SqDistMatrix.from_config(cfg)
     assert energy_report(mat) == rep
@@ -217,7 +218,7 @@ def test_fractional_matrix_entries():
         ),
     )
     rep = energy_report(mat)
-    assert rep == energy(distance_classes(mat))
+    assert rep == energy(mat)
     assert (rep.energy, rep.energy_same_point, rep.energy_cross) == oracle_quadruples(mat)
     assert rep.distinct_count == 5
     assert set(distance_classes(mat).classes) == {half, Fraction(3, 4), third, Fraction(5, 6), 1}

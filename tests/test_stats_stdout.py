@@ -21,7 +21,7 @@ from ddlab.energy import NUMPY_MIN_PAIRS
 from ddlab.io import load_source
 
 DATA = Path(__file__).parent / "data"
-VERIFY_INPUTS = ("fractional", "cylinder", "radical-line", "matrix", "incidence-guard")
+VERIFY_INPUTS = ("fractional", "cylinder", "radical-line", "matrix", "incidence-guard", "orthogonal")
 FORMS = ("txt", "json")
 CYLINDER_512 = ["gen", "--generator", "cylinder", "--n", "512", "--m", "512"]
 

@@ -1,4 +1,4 @@
-"""ddlab verify's stdout, pinned byte for byte on five recorded inputs.
+"""ddlab verify's stdout, pinned byte for byte on six recorded inputs.
 
 tests/data/verify holds each input (<name>.csv) with the text (<name>.txt)
 and --json (<name>.json) stdout recorded before the oracles and
@@ -9,7 +9,10 @@ incidence-guard (`ddlab gen --n 100 --m 40 --seed 1`, recorded before the
 quadratic incidence scan was deleted) is reducible but past the incidence
 oracle's guard, so both incidence lines take their SKIP path. The matrix
 recordings were renewed when `constraints` began checking a matrix's
-columns (SKIP became PASS); every other line is unchanged.
+columns (SKIP became PASS); every other line is unchanged. orthogonal
+(`ddlab gen --generator orthogonal --n 50 --m 50`) is a matrix past the
+quadruple oracle's guard, recorded before class-grouping stopped building
+pair lists.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import ddlab.cli
+from ddlab import gen_orthogonal_extremal
 from ddlab.cli import main
 from ddlab.reduction import Hyperbola, _ordered_pairs
 from ddlab.io import load_source
@@ -28,7 +32,7 @@ from ddlab.oracles import INCIDENCE_GUARD, QUADRUPLE_GUARD
 from conftest import RADICAL_LINE
 
 DATA = Path(__file__).parent / "data" / "verify"
-INPUTS = ("fractional", "cylinder", "radical-line", "matrix", "incidence-guard")
+INPUTS = ("fractional", "cylinder", "radical-line", "matrix", "incidence-guard", "orthogonal")
 
 
 @pytest.mark.parametrize("name", INPUTS)
@@ -48,6 +52,9 @@ def test_recorded_inputs():
     big = load_source(DATA / "incidence-guard.csv")
     assert big.n ** 2 * big.m * (big.m - 1) > INCIDENCE_GUARD
     assert validate_constraints(big, c=1).ok
+    orth = load_source(DATA / "orthogonal.csv")
+    assert orth == gen_orthogonal_extremal(50, 50)
+    assert orth.n * orth.m > QUADRUPLE_GUARD
 
 
 def test_intersections_build_only_the_sampled_curves(capsys, monkeypatch):
@@ -85,3 +92,20 @@ def test_bijection_past_the_quadruple_guard_audits_no_quadruple(capsys, monkeypa
     assert capsys.readouterr().out == (DATA / "incidence-guard.txt").read_text(encoding="utf-8")
     m = load_source(DATA / "incidence-guard.csv").m
     assert built == list(islice(_ordered_pairs(m), 40))
+
+
+@pytest.mark.parametrize("name, calls", [("incidence-guard", 0), ("cylinder", 0), ("fractional", 1)])
+def test_only_the_bijection_audit_builds_pair_lists(name, calls, capsys, monkeypatch):
+    # class-grouping counts reduced-pair keys at every size; distance_classes
+    # runs once, for bijection's audit, only at or below QUADRUPLE_GUARD
+    built = []
+    real = ddlab.cli.distance_classes
+
+    def spy(src):
+        built.append(src)
+        return real(src)
+
+    monkeypatch.setattr(ddlab.cli, "distance_classes", spy)
+    assert main(["verify", "--input", str(DATA / f"{name}.csv")]) == 0
+    assert capsys.readouterr().out == (DATA / f"{name}.txt").read_text(encoding="utf-8")
+    assert len(built) == calls
