@@ -24,7 +24,6 @@ from .bounds import (
 from .configs import (
     PrunedConfig,
     Side,
-    SqDistMatrix,
     gen_cylinder_extremal,
     gen_orthogonal_extremal,
     gen_random,
@@ -56,6 +55,7 @@ from .errors import (
 from .exact import (
     Config,
     Point,
+    SqDistMatrix,
     ValidationReport,
     Violation,
     format_rational,

@@ -22,10 +22,9 @@ from pathlib import Path
 from typing import Iterator
 
 from . import __version__, bounds, io as dio
-from .configs import SqDistMatrix
 from .energy import check_chain, distance_classes, energy, energy_report
 from .errors import DdlabError, IntersectionCheckError, TooLargeError
-from .exact import Config, validate_constraints
+from .exact import Config, SqDistMatrix, validate_constraints
 from .oracles import QUADRUPLE_GUARD, oracle_incidences, oracle_quadruples
 from .reduction import _ordered_pairs, build_family, incidences
 from .sweep import GENERATORS, CSV_COLUMNS, SweepSpec, check_options, generate, rows_to_csv, run_sweep

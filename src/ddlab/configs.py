@@ -11,24 +11,14 @@ The extremal generators build the two classical few-distance families: all
 points on one cylinder around the axis (max(n, m) distinct squared
 distances) and the analytic matrix with entry i + j (n + m - 1 distinct
 values). They witness that the multiplicity conditions cannot be dropped.
-
-SqDistMatrix holds a table of squared distances in one form, its canonical
-int form: a scale and an int table over it, so its producers (the file
-reader, from_config and the orthogonal generator), the energy kernels and
-the reference paths (energy, distance_classes and the oracles, through
-exact.sq_dist_rows) never walk a Fraction per entry. It holds values only,
-so == is value equality: a matrix equals itself after a save and a load.
-Source, a Config or a SqDistMatrix, is what the energy kernels, the oracles
-and the file loader accept.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import random
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import (
     EmptyResultError,
@@ -36,7 +26,7 @@ from .errors import (
     InvalidCountError,
     InvalidRangeError,
 )
-from .exact import Config, Point, Rational, _frac, rho_sq, scale_table
+from .exact import Config, Point, Rational, SqDistMatrix, _frac, rho_sq
 from .records import frozen_record
 
 
@@ -125,64 +115,6 @@ def prune_general(cfg: Config) -> PrunedConfig:
     order = sorted(range(cfg.m), key=lambda idx: pts[idx].coords)
     kept = _greedy_scan((pts[idx].coords[0], rho_sq(pts[idx]), idx) for idx in order)
     return PrunedConfig(base=cfg, kept_indices=kept, side=Side.NOT_APPLICABLE)
-
-
-@frozen_record
-class SqDistMatrix:
-    """An n x m table of exact squared distances.
-
-    The table is kept in canonical int form: entry (i, j) is
-    scaled[i][j] / scale, with scale > 0 and no common factor left between
-    scale and every entry, so equal values give equal ints and == compares
-    values. This is the matrix's only form: readers, generators, the
-    energy kernels and exact.sq_dist_rows all work on the ints.
-    """
-
-    n: int
-    m: int
-    scale: int
-    scaled: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(map(tuple, self.scaled))
-        if len(rows) != self.n:
-            raise ValueError("row count does not match n")
-        if any(len(row) != self.m for row in rows):
-            raise ValueError("column count does not match m")
-        if self.scale < 1:
-            raise ValueError("scale must be positive")
-        if self.n and self.m and min(map(min, rows)) < 0:
-            raise ValueError("squared distances cannot be negative")
-        g = self.scale
-        for row in rows:
-            if g == 1:
-                break
-            g = math.gcd(g, *row)
-        if g > 1:
-            rows = tuple(tuple(v // g for v in row) for row in rows)
-        object.__setattr__(self, "scale", self.scale // g)
-        object.__setattr__(self, "scaled", rows)
-
-    @classmethod
-    def of(cls, n: int, m: int, entries: Iterable[Iterable[Rational | str]]) -> "SqDistMatrix":
-        """Build the canonical table from rational entries (ints, Fractions or literals)."""
-        scale, scaled = scale_table([tuple(row) for row in entries], _frac)
-        return cls(n=n, m=m, scale=scale, scaled=scaled)
-
-    @classmethod
-    def from_config(cls, cfg: Config) -> "SqDistMatrix":
-        """The table of sq_dist(a, p), computed on the config's scaled view.
-
-        Each entry is its scaled squared distance over L^2, with no Fraction
-        arithmetic.
-        """
-        view = cfg.view
-        cols = tuple(zip(view.firsts, view.rhos))
-        rows = tuple(tuple((a - x) * (a - x) + r for x, r in cols) for a in view.params)
-        return cls(n=cfg.n, m=cfg.m, scale=view.scale**2, scaled=rows)
-
-
-Source = Union[Config, SqDistMatrix]
 
 
 def gen_cylinder_extremal(n: int, m: int, h: Rational | str = 1) -> Config:

@@ -50,8 +50,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .configs import Source, SqDistMatrix
-from .exact import sq_dist_rows
+from .exact import Source, SqDistMatrix, sq_dist_rows
 from .records import frozen_record
 
 # Measured break-even of the numpy kernel: at 2^18 pairs the stdlib kernel

@@ -7,6 +7,15 @@ all predicates downstream are exact. Distances are only ever handled
 squared: two distances are equal iff their squares are, and squares stay
 rational, so no square root is ever taken.
 
+SqDistMatrix holds a table of squared distances in one form, its canonical
+int form: a scale and an int table over it, so its producers (the file
+reader, from_config and the orthogonal generator), the energy kernels and
+the reference paths (energy, distance_classes and the oracles, through
+sq_dist_rows) never walk a Fraction per entry. It holds values only, so ==
+is value equality: a matrix equals itself after a save and a load. Source,
+a Config or a SqDistMatrix, is what the energy kernels, the oracles and the
+file loader accept.
+
 Rational literals in files and on the command line are written ``n`` or
 ``n/d`` with ASCII decimal digits, a positive denominator, and an optional
 leading minus sign.
@@ -19,13 +28,10 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequence, TypeVar, Union
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from .errors import FormatError, excerpt
 from .records import frozen_record
-
-if TYPE_CHECKING:  # configs.py imports this module
-    from .configs import SqDistMatrix
 
 Rational = Union[int, Fraction]
 
@@ -113,9 +119,7 @@ def sq_dist(a_param: Rational | str, p: Point) -> Fraction:
     return d * d + rho_sq(p)
 
 
-def sq_dist_rows(
-    src: Config | SqDistMatrix, params: Iterable[Rational] | None = None
-) -> Iterator[list[tuple[int, int]]]:
+def sq_dist_rows(src: Source, params: Iterable[Rational] | None = None) -> Iterator[list[tuple[int, int]]]:
     """Each row of a source's squared distances, as reduced (numerator, denominator) pairs.
 
     Equal pairs iff equal values, at one gcd per value instead of a chain of
@@ -126,7 +130,7 @@ def sq_dist_rows(
     and r = rho_sq = rn/rd, a - f = tn/td for tn = an fd - fn ad and td = ad fd,
     so (a - f)^2 + r = (tn^2 rd + rn td^2) / (td^2 rd).
     """
-    if not isinstance(src, Config):  # a SqDistMatrix
+    if isinstance(src, SqDistMatrix):
         scale = src.scale
         for row in src.scaled:
             yield [(v // (g := math.gcd(v, scale)), scale // g) for v in row]
@@ -259,6 +263,64 @@ class IntView:
     params: tuple[int, ...]
     firsts: tuple[int, ...]
     rhos: tuple[int, ...]
+
+
+@frozen_record
+class SqDistMatrix:
+    """An n x m table of exact squared distances.
+
+    The table is kept in canonical int form: entry (i, j) is
+    scaled[i][j] / scale, with scale > 0 and no common factor left between
+    scale and every entry, so equal values give equal ints and == compares
+    values. This is the matrix's only form: readers, generators, the
+    energy kernels and sq_dist_rows all work on the ints.
+    """
+
+    n: int
+    m: int
+    scale: int
+    scaled: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        rows = tuple(map(tuple, self.scaled))
+        if len(rows) != self.n:
+            raise ValueError("row count does not match n")
+        if any(len(row) != self.m for row in rows):
+            raise ValueError("column count does not match m")
+        if self.scale < 1:
+            raise ValueError("scale must be positive")
+        if self.n and self.m and min(map(min, rows)) < 0:
+            raise ValueError("squared distances cannot be negative")
+        g = self.scale
+        for row in rows:
+            if g == 1:
+                break
+            g = math.gcd(g, *row)
+        if g > 1:
+            rows = tuple(tuple(v // g for v in row) for row in rows)
+        object.__setattr__(self, "scale", self.scale // g)
+        object.__setattr__(self, "scaled", rows)
+
+    @classmethod
+    def of(cls, n: int, m: int, entries: Iterable[Iterable[Rational | str]]) -> "SqDistMatrix":
+        """Build the canonical table from rational entries (ints, Fractions or literals)."""
+        scale, scaled = scale_table([tuple(row) for row in entries], _frac)
+        return cls(n=n, m=m, scale=scale, scaled=scaled)
+
+    @classmethod
+    def from_config(cls, cfg: Config) -> "SqDistMatrix":
+        """The table of sq_dist(a, p), computed on the config's scaled view.
+
+        Each entry is its scaled squared distance over L^2, with no Fraction
+        arithmetic.
+        """
+        view = cfg.view
+        cols = tuple(zip(view.firsts, view.rhos))
+        rows = tuple(tuple((a - x) * (a - x) + r for x, r in cols) for a in view.params)
+        return cls(n=cfg.n, m=cfg.m, scale=view.scale**2, scaled=rows)
+
+
+Source = Union[Config, SqDistMatrix]
 
 
 @frozen_record

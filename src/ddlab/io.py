@@ -20,9 +20,10 @@ from itertools import chain
 from pathlib import Path
 from typing import TextIO
 
-from .configs import Source, SqDistMatrix
 from .errors import FormatError, excerpt
-from .exact import Config, format_ratio, format_rational, parse_distinct, parse_rational, scale_table
+from .exact import (
+    Config, Source, SqDistMatrix, format_ratio, format_rational, parse_distinct, parse_rational, scale_table,
+)
 from .reduction import HyperbolaFamily, _ordered_pairs
 
 

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .configs import Source
 from .errors import TooLargeError
-from .exact import Config, Rational, sq_dist_rows
+from .exact import Config, Rational, Source, sq_dist_rows
 
 QUADRUPLE_GUARD = 2000  # max n*m
 INCIDENCE_GUARD = 10_000_000  # max n^2 * curve count

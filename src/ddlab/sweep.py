@@ -17,10 +17,10 @@ from __future__ import annotations
 from itertools import product
 
 from . import bounds
-from .configs import SqDistMatrix, gen_cylinder_extremal, gen_orthogonal_extremal, gen_random
+from .configs import gen_cylinder_extremal, gen_orthogonal_extremal, gen_random
 from .energy import check_chain, energy_report
 from .errors import DdlabError
-from .exact import Config, Rational, validate_constraints
+from .exact import Config, Rational, SqDistMatrix, validate_constraints
 from .records import frozen_record
 from .reduction import build_family, incidences
 

@@ -131,6 +131,10 @@ class TestDistinctLowerBound:
                 rep = distinct_lower_bound(n, m)
                 assert rep.min_value == rep.term_m_sq
 
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="n and m must be positive"):
+            distinct_lower_bound(0, 3)
+
     def test_json_shape(self):
         d = distinct_lower_bound(100, 5).to_json_dict()
         assert set(d) == {"n", "m", "regime", "terms", "min", "piecewise"}

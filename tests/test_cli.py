@@ -440,6 +440,14 @@ class TestSweep:
         assert code == 0
         assert path.read_text().count("\n") == 2
 
+    def test_bad_integer_list_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n-list", "1,x", "--m-list", "2"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.endswith("error: argument --n-list: bad integer list: '1,x'\n")
+
     @pytest.mark.parametrize("option", [("--k", "4"), ("--coord-range", "50"), ("--k", "1")])
     def test_option_a_fixed_generator_ignores_is_an_error(self, option, tmp_path, capsys):
         path = tmp_path / "rows.csv"

@@ -178,6 +178,8 @@ class TestSqDistMatrix:
     def test_shape_and_sign_checks(self):
         with pytest.raises(ValueError):
             SqDistMatrix.of(n=2, m=1, entries=((Fraction(1),),))
+        with pytest.raises(ValueError, match="column count does not match m"):
+            SqDistMatrix(n=2, m=2, scale=1, scaled=((1, 2), (3,)))
         for bad in (Fraction(-1), Fraction(-1, 3), -2):
             with pytest.raises(ValueError):
                 SqDistMatrix.of(n=1, m=1, entries=((bad,),))

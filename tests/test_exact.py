@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
+from typing import Union
 
 import pytest
 from hypothesis import given
@@ -21,6 +24,8 @@ from ddlab import (
     sq_dist,
     validate_constraints,
 )
+import ddlab.configs
+import ddlab.exact
 from ddlab.exact import scale_table
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=60)
@@ -200,3 +205,24 @@ class TestValidateConstraints:
     def test_clean_config(self):
         cfg = Config.of(2, 1, [0, 2], [(0, 1), (1, 2)])
         assert validate_constraints(cfg).ok
+
+
+def test_exact_owns_the_input_model():
+    # Config, SqDistMatrix and their union Source live in exact.py, which
+    # imports no ddlab module but errors and records; configs.py only builds
+    # configs, so only the sweep and the package root import it
+    assert ddlab.exact.Source == Union[Config, ddlab.exact.SqDistMatrix]
+    assert ddlab.exact.SqDistMatrix.__module__ == "ddlab.exact"
+    assert "Source" not in vars(ddlab.configs)
+    importers, exact_imports = set(), set()
+    for path in Path(ddlab.exact.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            modules = {node.module} if node.module else {alias.name for alias in node.names}
+            if "configs" in modules:
+                importers.add(path.name)
+            if path.name == "exact.py":
+                exact_imports |= modules
+    assert importers == {"sweep.py", "__init__.py"}
+    assert exact_imports == {"errors", "records"}

@@ -6,8 +6,10 @@ counts from their arguments and results only: the grid's params and the
 family's curves for `reduction.incidences_hash`, the family's curves for
 `reduction.build_family`. A change to those names or records can break the
 traced benchmark while every untraced run passes. These tests run the
-tracer, unchanged, as a process on reduce, verify and a two-row sweep, and
-check that its spans count what the command itself reports.
+tracer, unchanged, as a process on stats, reduce, verify and a two-row
+sweep, and check that its spans count what the command itself reports and
+that each command records the same set of span names as before: a traced
+layer whose call site moved away from those names would read 0 otherwise.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ def span_counts(spans: list[dict], name: str) -> list[dict]:
     return [span["counts"] for span in spans if span["name"] == name]
 
 
+def span_names(spans: list[dict]) -> set[str]:
+    return {span["name"] for span in spans}
+
+
 def assert_counts(spans: list[dict], rows: list[tuple[int, int, int]]) -> None:
     """One build_family and one incidences_hash span per (n, m, incidence total), in order."""
     assert [c["curves"] for c in span_counts(spans, "reduction.build_family")] == [m * (m - 1) for _, m, _ in rows]
@@ -51,13 +57,21 @@ def assert_counts(spans: list[dict], rows: list[tuple[int, int, int]]) -> None:
     ]
 
 
+def test_stats(tmp_path):
+    _, spans = traced(tmp_path, "stats", "--json", "--input", str(DATA / "verify" / "fractional.csv"))
+    assert span_names(spans) == {"cli", "io.load_source", "energy.energy_report"}
+
+
 def test_reduce(tmp_path):
     src = DATA / "reduce" / "random-k2.csv"
     cfg = load_source(src)
-    out, spans = traced(tmp_path, "reduce", "--input", str(src))
+    out, spans = traced(tmp_path, "reduce", "--input", str(src), "--output", "gamma.csv")
     total = int(re.search(r"^incidences: (\d+) ", out, re.M).group(1))
     assert total > 0
     assert_counts(spans, [(cfg.n, cfg.m, total)])
+    assert span_names(spans) == {
+        "cli", "io.load_source", "io.write_gamma_csv", "reduction.build_family", "reduction.incidences_hash",
+    }
 
 
 def test_verify(tmp_path):
@@ -67,6 +81,11 @@ def test_verify(tmp_path):
     total = int(re.search(r"^PASS incidence-modes: hash (\d+) vs", out, re.M).group(1))
     assert total > 0
     assert_counts(spans, [(cfg.n, cfg.m, total)])
+    assert span_names(spans) == {
+        "cli", "io.load_source", "energy.energy_report", "energy.energy", "energy.distance_classes",
+        "exact.validate_constraints", "oracles.oracle_quadruples", "oracles.oracle_incidences",
+        "reduction.build_family", "reduction.incidences_hash",
+    }
 
 
 def test_sweep(tmp_path):
@@ -75,3 +94,8 @@ def test_sweep(tmp_path):
     rows = [(int(r["n"]), int(r["m"]), int(r["I"])) for r in csv.DictReader(io.StringIO(out))]
     assert len(rows) == 2 and all(total > 0 for _, _, total in rows)
     assert_counts(spans, rows)
+    assert span_names(spans) == {
+        "cli", "sweep.run_sweep", "configs.gen_random", "energy.energy_report", "exact.validate_constraints",
+        "reduction.build_family", "reduction.incidences_hash", "bounds.distinct_lower_bound",
+        "bounds.energy_upper_expr",
+    }
