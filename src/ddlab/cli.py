@@ -26,7 +26,7 @@ from .energy import check_chain, distance_classes, energy, energy_report
 from .errors import DdlabError, IntersectionCheckError, TooLargeError
 from .exact import Config, SqDistMatrix, validate_constraints
 from .oracles import QUADRUPLE_GUARD, oracle_incidences, oracle_quadruples
-from .reduction import _ordered_pairs, build_family, incidences
+from .reduction import _ordered_pairs, build_family, incidences, intersection_count
 from .sweep import GENERATORS, CSV_COLUMNS, SweepSpec, check_options, generate, rows_to_csv, run_sweep
 
 SWEEP_COLUMNS_HELP = "CSV columns, in order: " + ", ".join(CSV_COLUMNS)
@@ -256,13 +256,14 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
     def family_check():
         # the per-sign totals are total // 2 because curve (i, j) and its mirror
         # (j, i), of opposite gamma, carry the same incidences: check every pair
-        count = dict(zip(_ordered_pairs(m), fast().per_curve))
-        broken = next(((i, j) for (i, j), c in count.items() if c != count[(j, i)]), None)
-        if broken is None:
+        # row i holds curves (i, j), j != i; a 0 on the diagonal makes the rows square
+        per, w = fast().per_curve, m - 1
+        rows = [per[i * w:i * w + i] + (0,) + per[i * w + i:i * w + w] for i in range(m)]
+        if rows == list(zip(*rows)):
             half = len(family()) // 2
             return "PASS", f"{len(family())} curves, sign split {half}/{half}"
-        mirror = broken[::-1]
-        return "FAIL", f"curve {broken} has {count[broken]} incidences, its mirror {mirror} has {count[mirror]}"
+        i, j = next((i, j) for i, j in _ordered_pairs(m) if rows[i][j] != rows[j][i])
+        return "FAIL", f"curve {(i, j)} has {rows[i][j]} incidences, its mirror {(j, i)} has {rows[j][i]}"
 
     def incidence_modes():
         # the oracle evaluates every curve at every grid point on the input's own
@@ -297,7 +298,7 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
         pairs = list(combinations(islice(family().iter_curves(), 40), 2))
         try:
             for h1, h2 in pairs:  # each call checks its points on both curves
-                family()._intersection_count(h1, h2)
+                intersection_count(h1, h2)
         except IntersectionCheckError as exc:
             return "FAIL", str(exc)
         return "PASS", f"{len(pairs)} curve pairs, all meeting at most twice"

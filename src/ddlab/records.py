@@ -10,7 +10,7 @@ costs microseconds where dataclasses' generated code costs milliseconds,
 and importing this module pulls in neither dataclasses nor inspect.
 
 Records keep an instance __dict__, so object.__setattr__ in __post_init__
-and functools.cached_property work; == and hash read only the fields.
+and functools.cached_property work; ==, hash and repr read only the fields.
 """
 
 from __future__ import annotations

@@ -72,6 +72,14 @@ class Hyperbola:
     def contains(self, s: Rational | str, t: Rational | str) -> bool:
         return self.evaluate(s, t) == 0
 
+    @cached_property
+    def _ints(self) -> tuple[int, int, int, int]:
+        """(L, L alpha, L beta, L^2 gamma), L the lcm of the three denominators."""
+        a, b, g = self.alpha, self.beta, self.gamma
+        scale = math.lcm(a.denominator, b.denominator, g.denominator)
+        return (scale, a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator),
+                g.numerator * (scale * scale // g.denominator))
+
 
 def _ordered_pairs(m: int) -> Iterator[tuple[int, int]]:
     """Source pairs (i, j) with i != j, i-major: the curve order of a family."""
@@ -116,18 +124,6 @@ class HyperbolaFamily:
     @cached_property
     def curves(self) -> tuple[Hyperbola, ...]:
         return tuple(self.iter_curves())
-
-    def _intersection_count(self, h1: Hyperbola, h2: Hyperbola) -> IntersectionResult:
-        """intersection_count(h1, h2), with the coefficients read from this
-        family's int columns at its scale.
-
-        Both curves must come from this family's curve or iter_curves: only
-        their src pairs are read, so a curve of another family is silently
-        replaced by this family's curve of the same pair.
-        """
-        (i, j), (k, l) = h1.src, h2.src
-        f, r = self.firsts, self.rhos
-        return _radical_walk(h1, h2, self.scale, [-f[i], -f[j], r[i] - r[j], -f[k], -f[l], r[k] - r[l]])
 
 
 def _scan_pairs(firsts: tuple[int, ...], rhos: tuple[int, ...]) -> None:
@@ -235,21 +231,16 @@ def intersection_count(h1: Hyperbola, h2: Hyperbola) -> IntersectionResult:
     foot, and d^2 times the first curve reads qa u^2 + qb u + qc = 0: one
     quadratic in u, whatever the line's direction, so at most two crossings.
 
-    Runs on ints: with L the lcm of the six coefficient denominators, X = L x
-    and Y = L y give integral a = L alpha, b = L beta and g = L^2 gamma, and
-    each quantity is the rational one times a positive square, which keeps
-    every sign and every perfect square.
+    Runs on ints: each curve carries its int form (L, a, b, g) with a = L
+    alpha, b = L beta and g = L^2 gamma, computed once per curve. The two
+    forms are lifted to the lcm L of their scales, so X = L x and Y = L y,
+    and each quantity is the rational one times a positive square, which
+    keeps every sign and every perfect square.
     """
-    coeffs = (h1.alpha, h1.beta, h1.gamma, h2.alpha, h2.beta, h2.gamma)
-    scale = math.lcm(*[v.denominator for v in coeffs])
-    factors = (scale, scale, scale * scale) * 2
-    return _radical_walk(h1, h2, scale, [v.numerator * (f // v.denominator) for v, f in zip(coeffs, factors)])
-
-
-def _radical_walk(h1: Hyperbola, h2: Hyperbola, scale: int, ints: list[int]) -> IntersectionResult:
-    """intersection_count on ints = (a1, b1, g1, a2, b2, g2) at any common scale L
-    that makes a = L alpha, b = L beta and g = L^2 gamma integral."""
-    a1, b1, g1, a2, b2, g2 = ints
+    (l1, a1, b1, g1), (l2, a2, b2, g2) = h1._ints, h2._ints
+    scale = math.lcm(l1, l2)
+    f1, f2 = scale // l1, scale // l2
+    a1, b1, g1, a2, b2, g2 = a1 * f1, b1 * f1, g1 * f1 * f1, a2 * f2, b2 * f2, g2 * f2 * f2
     if (a1, b1, g1) == (a2, b2, g2):
         raise IdenticalCurvesError("needs two distinct curves")
     la = 2 * (a1 - a2)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -237,6 +238,22 @@ class TestVerify:
         assert "FAIL family: curve (0, 1) has 1 incidences, its mirror (1, 0) has 3\n" in out
         assert "PASS bijection: Q1 = 4 vs incidences = 4\n" in out
 
+    def test_family_reports_the_first_broken_pair(self, capsys, monkeypatch):
+        # m = 7: moving the incidence of curve (2, 4), index 2 * 6 + 3, to its
+        # mirror (4, 2), index 4 * 6 + 2, breaks only that pair, first seen as (2, 4)
+        real = ddlab.cli.incidences
+
+        def injected(grid, family):
+            per_curve = list(real(grid, family).per_curve)
+            assert (per_curve[15], per_curve[26]) == (1, 1)
+            per_curve[15], per_curve[26] = 0, 2
+            return IncidenceReport(per_curve=tuple(per_curve))
+
+        monkeypatch.setattr(ddlab.cli, "incidences", injected)
+        code, out = run_cli("verify", "--input", str(DATA / "verify" / "fractional.csv"), capsys=capsys)
+        assert code == 1
+        assert "FAIL family: curve (2, 4) has 0 incidences, its mirror (4, 2) has 2\n" in out
+
     def test_quadruple_off_its_curve_fails_bijection(self, tmp_path, capsys, monkeypatch):
         # the worked example, with gamma of curve (0, 1) shifted in the curves
         # that the audit builds; the joins and the intersections see the real family
@@ -395,6 +412,22 @@ class TestScaleOnce:
         assert main(argv) == 0
         capsys.readouterr()
         assert len(views) == count
+
+    def test_one_int_form_per_sampled_curve(self, capsys, monkeypatch):
+        # intersections pairs 40 curves: each computes its int form once, not once per pair
+        made = []
+        real = Hyperbola.__dict__["_ints"].func
+
+        def counting(h):
+            made.append(h.src)
+            return real(h)
+
+        spy = cached_property(counting)
+        spy.__set_name__(Hyperbola, "_ints")
+        monkeypatch.setattr(Hyperbola, "_ints", spy)
+        assert main(["verify", "--input", str(DATA / "verify" / "fractional.csv")]) == 0
+        assert "PASS intersections: 780 curve pairs" in capsys.readouterr().out
+        assert len(made) == len(set(made)) == 40
 
 
 class TestBound:

@@ -361,18 +361,21 @@ class TestIntersections:
             assert res.count == 0 and res.points == ()
 
     def test_family_path_matches_intersection_count(self):
-        # the family reads each pair's coefficients from its int columns at its
-        # own scale, intersection_count from the curves' reduced Fractions
+        # intersection_count reads each curve's cached int form, which must be
+        # the family's own int columns at the curve's scale L
         configs = [RADICAL_LINE, fractional_config(4, n=3, m=7, k=3)] + [
             gen_random(n=4, m=7, k=k, seed=seed, coord_range=12) for k in (2, 3) for seed in range(3)
         ]
         with_points = 0
         for cfg in configs:
             family = build_family(cfg)
-            for h1, h2 in combinations(islice(family.iter_curves(), 40), 2):
-                res = family._intersection_count(h1, h2)
-                assert res == intersection_count(h1, h2), (h1.src, h2.src)
-                with_points += bool(res.points)
+            f, r, scale = family.firsts, family.rhos, family.scale
+            curves = list(islice(family.iter_curves(), 40))
+            for h in curves:
+                (i, j), (L, a, b, g) = h.src, h._ints
+                assert (Fraction(a, L), Fraction(b, L)) == (Fraction(-f[i], scale), Fraction(-f[j], scale))
+                assert Fraction(g, L * L) == Fraction(r[i] - r[j], scale * scale)
+            with_points += sum(bool(intersection_count(h1, h2).points) for h1, h2 in combinations(curves, 2))
         assert with_points > 0
 
     def test_family_pairs_cross_at_most_twice(self):

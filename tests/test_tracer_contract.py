@@ -81,10 +81,12 @@ def test_verify(tmp_path):
     total = int(re.search(r"^PASS incidence-modes: hash (\d+) vs", out, re.M).group(1))
     assert total > 0
     assert_counts(spans, [(cfg.n, cfg.m, total)])
+    pairs = int(re.search(r"^PASS intersections: (\d+) curve pairs", out, re.M).group(1))
+    assert len(span_counts(spans, "reduction.intersection_count")) == pairs == 780
     assert span_names(spans) == {
         "cli", "io.load_source", "energy.energy_report", "energy.energy", "energy.distance_classes",
         "exact.validate_constraints", "oracles.oracle_quadruples", "oracles.oracle_incidences",
-        "reduction.build_family", "reduction.incidences_hash",
+        "reduction.build_family", "reduction.incidences_hash", "reduction.intersection_count",
     }
 
 
