@@ -24,9 +24,9 @@ cfg = Config.of(k=2, c=1, p1_params=[0, 2], p2_points=[(0, 1), (1, 2)])
 # (x + alpha)^2 - (y + beta)^2 + gamma = 0, gamma never zero.
 fam = build_family(cfg)
 print("curves (alpha, beta, gamma):")
-for h in fam.curves:
+for h in fam.iter_curves():
     print(f"  pair {h.src}: ({h.alpha}, {h.beta}, {h.gamma})")
-positive = sum(1 for h in fam.curves if h.gamma > 0)
+positive = sum(1 for h in fam.iter_curves() if h.gamma > 0)
 print("positive gammas:", positive, " negative:", len(fam) - positive)
 
 # Count grid points on curves by the grouped join, on the config's int view
@@ -41,18 +41,17 @@ assert rep.per_curve == oracle_incidences(cfg.p1_params, cfg)
 # distance class with j != l, is the grid point (a_i, a_k) on curve (j, l).
 # `ddlab verify` checks this map point by point on desk-scale inputs.
 print("Q1 =", energy_report(cfg).energy_cross)
-curve_at = {h.src: h for h in fam.curves}
 a = cfg.p1_params
 for pairs in distance_classes(cfg).classes.values():
     for i, j in pairs:
         for k, l in pairs:
             if j != l:
-                assert curve_at[(j, l)].contains(a[i], a[k])
+                assert fam.curve(j, l).contains(a[i], a[k])
                 print(f"  quadruple {(i, j, k, l)} -> grid point ({a[i]}, {a[k]}) on curve {(j, l)}")
 
 # Any two distinct curves meet in at most two points, certified by the sign
 # of an exact discriminant along the radical line.
-a, b = fam.curves[0], fam.curves[1]
+a, b = fam.curve(0, 1), fam.curve(1, 0)
 result = intersection_count(a, b)
 crossings = [f"({x}, {y})" for x, y in result.points]
 print("\ncurves", a.src, "and", b.src, "meet in", result.count, "points:", crossings)

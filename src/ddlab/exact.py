@@ -124,13 +124,15 @@ def sq_dist_rows(src: Source, params: Iterable[Rational] | None = None) -> Itera
 
     Equal pairs iff equal values, at one gcd per value instead of a chain of
     Fraction operators. A matrix's canonical int v at scale L gives
-    (v / g, L / g), g = gcd(v, L). A config's row i holds sq_dist(a, p) for
-    the i-th a of params (default src.p1_params; a matrix ignores params) and
-    each P2 point p, in order. With a = an/ad, p's first coordinate f = fn/fd
-    and r = rho_sq = rn/rd, a - f = tn/td for tn = an fd - fn ad and td = ad fd,
-    so (a - f)^2 + r = (tn^2 rd + rn td^2) / (td^2 rd).
+    (v / g, L / g), g = gcd(v, L); it has no axis, so params is a TypeError.
+    A config's row i holds sq_dist(a, p) for the i-th a of params (default
+    src.p1_params) and each P2 point p, in order. With a = an/ad, f = fn/fd
+    p's first coordinate and r = rho_sq = rn/rd, a - f = tn/td for tn =
+    an fd - fn ad and td = ad fd, so (a - f)^2 + r = (tn^2 rd + rn td^2) / (td^2 rd).
     """
     if isinstance(src, SqDistMatrix):
+        if params is not None:
+            raise TypeError("rows at given params need a coordinate Config, not a matrix")
         scale = src.scale
         for row in src.scaled:
             yield [(v // (g := math.gcd(v, scale)), scale // g) for v in row]

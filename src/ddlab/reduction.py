@@ -90,11 +90,11 @@ def _ordered_pairs(m: int) -> Iterator[tuple[int, int]]:
 class HyperbolaFamily:
     """All m(m-1) ordered-pair curves of a config, in (p, q) index order.
 
-    Stored as the config's scaled int columns (Config.view): with L =
+    Stored only as the config's scaled int columns (Config.view): with L =
     scale, curve (i, j) has alpha = -firsts[i] / L, beta = -firsts[j] / L and
-    gamma = (rhos[i] - rhos[j]) / L^2. curve builds the Hyperbola of one
-    pair, iter_curves all of them one at a time and curves all of them on
-    first access; the counting kernels read the columns.
+    gamma = (rhos[i] - rhos[j]) / L^2. Counting reads only the columns; curve
+    builds one pair's Hyperbola, iter_curves each pair's in turn, and curves
+    (kept for the benchmark tracer alone) all of them at once.
     """
 
     scale: int
@@ -108,21 +108,18 @@ class HyperbolaFamily:
     def __len__(self) -> int:
         return self.m * (self.m - 1)
 
-    @cached_property
-    def _axis(self) -> tuple[Fraction, ...]:  # each serves 2(m - 1) curves
-        return tuple(Fraction(-x, self.scale) for x in self.firsts)
-
     def curve(self, i: int, j: int) -> Hyperbola:
         """The Hyperbola of source pair (i, j), built from the int columns."""
-        axis, r = self._axis, self.rhos
-        return Hyperbola(axis[i], axis[j], Fraction(r[i] - r[j], self.scale * self.scale), (i, j))
+        f, r, scale = self.firsts, self.rhos, self.scale
+        alpha, beta = Fraction(-f[i], scale), Fraction(-f[j], scale)
+        return Hyperbola(alpha, beta, Fraction(r[i] - r[j], scale * scale), (i, j))
 
     def iter_curves(self) -> Iterator[Hyperbola]:
-        """The Hyperbola values in curves order, each built when it is reached."""
+        """The Hyperbola of each pair in (i, j) order, built when it is reached."""
         return (self.curve(i, j) for i, j in _ordered_pairs(self.m))
 
     @cached_property
-    def curves(self) -> tuple[Hyperbola, ...]:
+    def curves(self) -> tuple[Hyperbola, ...]:  # read only by perfbench/tracer.py
         return tuple(self.iter_curves())
 
 

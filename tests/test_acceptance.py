@@ -167,10 +167,11 @@ def test_05_family_shape_and_degeneracy(corpus):
                 continue
             fam = build_family(cfg)
             size = cfg.m * (cfg.m - 1)
-            assert len(fam.curves) == size
-            assert len({(h.alpha, h.beta, h.gamma) for h in fam.curves}) == size
-            assert all(h.gamma != 0 for h in fam.curves)
-            assert sum(1 for h in fam.curves if h.gamma > 0) == size // 2
+            curves = list(fam.iter_curves())
+            assert len(fam) == len(curves) == size
+            assert len({(h.alpha, h.beta, h.gamma) for h in curves}) == size
+            assert all(h.gamma != 0 for h in curves)
+            assert sum(1 for h in curves if h.gamma > 0) == size // 2
             families += 1
         clashes = 0
         for seed in range(1000, 1030):
@@ -212,7 +213,7 @@ def test_06_pairwise_intersections_bounded():
                 seed=seed,
                 coord_range=60,
             )
-            curves = build_family(cfg).curves
+            curves = list(build_family(cfg).iter_curves())
             for a in range(len(curves)):
                 for b in range(a + 1, len(curves)):
                     result = intersection_count(curves[a], curves[b])

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import csv
+import io
 import json
 import os
 import subprocess
@@ -16,6 +18,7 @@ import pytest
 import ddlab.cli
 import ddlab.reduction
 from ddlab import Hyperbola, HyperbolaFamily, IncidenceReport, energy_report, gen_random
+from ddlab.bounds import distinct_lower_bound, energy_upper_expr
 from ddlab.cli import main
 from ddlab.exact import Config, IntView
 from ddlab.io import load_source, save_source
@@ -197,6 +200,22 @@ class TestVerify:
         code, out = run_cli("verify", "--input", str(path), capsys=capsys)
         assert code == 0
         assert "SKIP bijection" in out
+
+    def test_reduce_reports_a_family_verify_skips(self, tmp_path, capsys):
+        # README's gap example: two points share the axis coordinate 0, so the
+        # config is valid at c = 2 only; build_family scans its pairs and
+        # builds the family reduce reports, while verify skips every reduction
+        # line. Extending the reduction past c = 1 changes this on purpose.
+        path = tmp_path / "cfg.csv"
+        path.write_text("k=2,c=2\nP1,0\nP1,1\nP1,3\nP2,0,1\nP2,0,2\nP2,3,4\n", encoding="utf-8")
+        code, out = run_cli("reduce", "--input", str(path), capsys=capsys)
+        assert code == 0
+        assert out == "curves: 6 (gamma>0: 3, gamma<0: 3)\nincidences: 0 (on gamma>0: 0, on gamma<0: 0)\n"
+        code, out = run_cli("verify", "--input", str(path), capsys=capsys)
+        names = ("family", "incidence-modes", "incidence-oracle", "bijection", "intersections")
+        lines = out.splitlines()
+        assert code == 0 and all(line.startswith("PASS ") for line in lines[:-5])
+        assert lines[-5:] == [f"SKIP {name}: needs a coordinate config, m >= 2, valid at c = 1" for name in names]
 
     @pytest.mark.parametrize(
         "per_curve, modes, oracle",
@@ -472,6 +491,25 @@ class TestSweep:
         )
         assert code == 0
         assert path.read_text().count("\n") == 2
+
+    def test_log2_convention_changes_only_the_bound_columns(self, capsys):
+        argv = ("sweep", "--n-list", "9,16", "--m-list", "8", "--seeds", "1", "--coord-range", "24")
+        _, default = run_cli(*argv, capsys=capsys)
+        code, log2 = run_cli(*argv, "--log-convention", "log2-clamped", capsys=capsys)
+        assert code == 0
+        default_rows, log2_rows = (list(csv.DictReader(io.StringIO(out))) for out in (default, log2))
+        assert len(log2_rows) == 2 and all(int(row["I"]) > 0 for row in log2_rows)
+        exact = ("x", "Q", "Q0", "Q1", "I", "chain_ok", "q0_ok", "bijection_ok")
+        for row, default_row in zip(log2_rows, default_rows):
+            assert [row[col] for col in exact] == [default_row[col] for col in exact]
+        for row in log2_rows:
+            n, m, x, q = (int(row[col]) for col in ("n", "m", "x", "Q"))
+            bound = distinct_lower_bound(n, m, "log2-clamped")
+            expr = energy_upper_expr(n, m, "log2-clamped")
+            assert (float(row["bound_min"]), row["regime"]) == (bound.min_value, bound.regime.value)
+            assert float(row["ratio_x_over_bound"]) == x / bound.min_value
+            assert float(row["ratio_Q_over_expr"]) == q / expr
+        assert log2 != default  # the convention reaches the rows
 
     def test_bad_integer_list_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -18,6 +18,7 @@ from ddlab import (
     oracle_incidences,
     oracle_quadruples,
 )
+from ddlab.exact import sq_dist_rows
 from ddlab.oracles import INCIDENCE_GUARD, QUADRUPLE_GUARD
 
 
@@ -61,3 +62,17 @@ def test_incidence_oracle_guard():
 def test_oracle_accepts_matrix():
     cfg = gen_random(n=4, m=5, k=3, seed=3, coord_range=80)
     assert oracle_quadruples(SqDistMatrix.from_config(cfg)) == oracle_quadruples(cfg)
+
+
+def test_matrix_rows_refuse_foreign_params():
+    # a matrix holds its own rows only; taking them "at" other params used to
+    # return those rows anyway, so the incidence oracle counted over the
+    # matrix's n rows while its guard read len(params)
+    cfg = gen_random(n=3, m=3, k=2, seed=1, coord_range=40)
+    mat = SqDistMatrix.from_config(cfg)
+    assert list(sq_dist_rows(mat)) == list(sq_dist_rows(cfg))
+    with pytest.raises(TypeError, match="not a matrix"):
+        list(sq_dist_rows(mat, cfg.p1_params))
+    with pytest.raises(TypeError, match="not a matrix"):
+        oracle_incidences([Fraction(0)], mat)
+    assert len(oracle_incidences([Fraction(0)], cfg)) == cfg.m * (cfg.m - 1)

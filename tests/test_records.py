@@ -57,9 +57,9 @@ def _samples() -> dict[str, object]:
         "Config": cfg,
         "Point": cfg.p2_points[1],
         "HyperbolaFamily": family,
-        "Hyperbola": family.curves[1],
+        "Hyperbola": family.curve(0, 2),
         "IncidenceReport": incidences(cfg.view, family),
-        "IntersectionResult": intersection_count(family.curves[0], family.curves[1]),
+        "IntersectionResult": intersection_count(family.curve(0, 1), family.curve(0, 2)),
         "DistanceClasses": distance_classes(cfg),
         "EnergyReport": energy,
         "ChainReport": check_chain(energy),
@@ -211,10 +211,10 @@ def test_cached_properties_do_not_change_equality():
     assert cfg.view and "view" in vars(cfg)
     assert cfg == fresh_cfg and hash(cfg) == hash(fresh_cfg) and repr(cfg) == text
 
-    family, fresh_family = build_family(RADICAL_LINE), build_family(RADICAL_LINE)
-    text = repr(family)
-    assert family.curves and "curves" in vars(family)
-    assert family == fresh_family and hash(family) == hash(fresh_family) and repr(family) == text
+    curve, fresh_curve = (build_family(RADICAL_LINE).curve(0, 1) for _ in range(2))
+    text = repr(curve)
+    assert curve._ints and "_ints" in vars(curve)
+    assert curve == fresh_curve and hash(curve) == hash(fresh_curve) and repr(curve) == text
 
 
 def test_match_args_and_csv_columns():

@@ -41,7 +41,7 @@ def reference_classes(cfg: Config) -> dict:
 
 def reference_incidences(params, family) -> tuple[int, ...]:
     per_curve = []
-    for h in family.curves:
+    for h in family.iter_curves():
         lhs = [(s + h.alpha) ** 2 + h.gamma for s in params]
         rhs = [(t + h.beta) ** 2 for t in params]
         per_curve.append(sum(rhs.count(left) for left in lhs))

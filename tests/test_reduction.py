@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 from pathlib import Path
 
 import pytest
@@ -46,19 +47,24 @@ rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 class TestBuildFamily:
     def test_worked_example(self):
         family = build_family(WORKED)
-        assert [(h.src, h.alpha, h.beta, h.gamma) for h in family.curves] == [
+        assert [(h.src, h.alpha, h.beta, h.gamma) for h in family.iter_curves()] == [
             ((0, 1), 0, -1, -3),
             ((1, 0), -1, 0, 3),
         ]
 
     def test_curve_of_one_pair(self):
-        family = build_family(fractional_config(3, 4, 5, 2))
-        assert [family.curve(*h.src) for h in family.curves] == list(family.curves)
+        # each curve against the config's own rationals, not the scaled columns
+        cfg = fractional_config(3, 4, 5, 2)
+        family = build_family(cfg)
+        xs, rhos = [p.coords[0] for p in cfg.p2_points], [rho_sq(p) for p in cfg.p2_points]
+        assert family.scale > 1  # the columns are not the rationals themselves
+        for i, j in permutations(range(cfg.m), 2):
+            assert family.curve(i, j) == Hyperbola(-xs[i], -xs[j], rhos[i] - rhos[j], (i, j))
 
     def test_expanded_form(self):
         # pair p=(1,2), q=(3,1): (x-1)^2 - (y-3)^2 + 3, i.e. x^2-y^2-2x+6y-5
         cfg = Config.of(2, 1, [0], [(1, 2), (3, 1)])
-        h = build_family(cfg).curves[0]
+        h = build_family(cfg).curve(0, 1)
         assert (h.alpha, h.beta, h.gamma) == (-1, -3, 3)
         for x, y in [(0, 0), (1, 3), (Fraction(5, 2), Fraction(-1, 3)), (7, 2)]:
             expanded = x * x - y * y - 2 * x + 6 * y - 5
@@ -71,13 +77,28 @@ class TestBuildFamily:
                 continue
             family = build_family(cfg)
             m = cfg.m
-            assert len(family.curves) == m * (m - 1)
-            triples = {(h.alpha, h.beta, h.gamma) for h in family.curves}
+            curves = list(family.iter_curves())
+            assert len(family) == len(curves) == m * (m - 1)
+            triples = {(h.alpha, h.beta, h.gamma) for h in curves}
             assert len(triples) == m * (m - 1)
-            assert sum(1 for h in family.curves if h.gamma > 0) == m * (m - 1) // 2
-            by_src = {h.src: h for h in family.curves}
+            assert sum(1 for h in curves if h.gamma > 0) == m * (m - 1) // 2
+            by_src = {h.src: h for h in curves}
             for (i, j), h in by_src.items():
                 assert by_src[(j, i)].gamma == -h.gamma
+
+    def test_only_the_benchmark_tracer_reads_curves(self):
+        # the family's int columns are its only form: library, tests and demos
+        # build curves through curve and iter_curves, never the cached tuple
+        root = Path(__file__).resolve().parent.parent
+        paths = sorted(path for top in ("src", "tests", "demos") for path in (root / top).rglob("*.py"))
+        assert {"reduction.py", "test_reduction.py", "04_curve_reduction.py"} <= {path.name for path in paths}
+        found = [
+            f"{path.relative_to(root)}:{node.lineno}"
+            for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr == "curves"
+        ]
+        assert found == []
 
     def test_degenerate_pair_raises(self):
         cfg = Config.of(2, 2, [0], [(0, 1), (5, -1)])
@@ -292,7 +313,7 @@ class TestBranches:
             cfg = gen_random(n=6, m=5, k=2, seed=seed, coord_range=99)
             family = build_family(cfg)
             params = cfg.p1_params
-            seen = sum(h.contains(s, t) for h in family.curves for s in params for t in params)
+            seen = sum(h.contains(s, t) for h in family.iter_curves() for s in params for t in params)
             assert seen == energy_report(cfg).energy_cross
 
 
@@ -355,9 +376,9 @@ class TestIntersections:
                 assert h1.contains(*pt) and h2.contains(*pt)
 
     def test_radical_line_parallel_to_asymptote(self):
-        by_src = {h.src: h for h in build_family(RADICAL_LINE).curves}
+        family = build_family(RADICAL_LINE)
         for a, b in (((0, 1), (1, 2)), ((1, 0), (2, 1))):
-            res = intersection_count(by_src[a], by_src[b])
+            res = intersection_count(family.curve(*a), family.curve(*b))
             assert res.count == 0 and res.points == ()
 
     def test_family_path_matches_intersection_count(self):
@@ -380,7 +401,7 @@ class TestIntersections:
 
     def test_family_pairs_cross_at_most_twice(self):
         cfg = gen_random(n=3, m=6, k=2, seed=21, coord_range=90)
-        curves = build_family(cfg).curves
+        curves = list(build_family(cfg).iter_curves())
         for a in range(len(curves)):
             for b in range(a + 1, len(curves)):
                 assert intersection_count(curves[a], curves[b]).count <= 2

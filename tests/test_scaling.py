@@ -83,7 +83,7 @@ def test_int_kernels_match_rational_references(cfg, foreign_params):
         for j in range(cfg.m)
         if i != j
     ]
-    assert [(h.src, h.alpha, h.beta, h.gamma) for h in family.curves] == expected
+    assert [(h.src, h.alpha, h.beta, h.gamma) for h in family.iter_curves()] == expected
 
     buf = io.StringIO()
     write_gamma_csv(family, buf)
