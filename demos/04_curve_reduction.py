@@ -35,7 +35,7 @@ print("positive gammas:", positive, " negative:", len(fam) - positive)
 # config's own rationals, without the family.
 rep = incidences(cfg.view, fam)
 print("\nincidences:", rep.total, " per curve:", rep.per_curve)
-assert rep.per_curve == oracle_incidences(cfg.p1_params, cfg)
+assert rep.per_curve == oracle_incidences(cfg)
 
 # The count is exactly Q1: a cross quadruple (i, j, k, l), two pairs of one
 # distance class with j != l, is the grid point (a_i, a_k) on curve (j, l).

@@ -218,7 +218,7 @@ def _verify_checks(src) -> list[tuple[str, str, str]]:
     )
     family = _once(lambda: build_family(src))
     fast = _once(lambda: incidences(src.view, family()))
-    per_curve = _once(lambda: oracle_incidences(src.p1_params, src))
+    per_curve = _once(lambda: oracle_incidences(src))
 
     def constraints():
         if isinstance(src, Config):

@@ -119,20 +119,18 @@ def sq_dist(a_param: Rational | str, p: Point) -> Fraction:
     return d * d + rho_sq(p)
 
 
-def sq_dist_rows(src: Source, params: Iterable[Rational] | None = None) -> Iterator[list[tuple[int, int]]]:
+def sq_dist_rows(src: Source) -> Iterator[list[tuple[int, int]]]:
     """Each row of a source's squared distances, as reduced (numerator, denominator) pairs.
 
     Equal pairs iff equal values, at one gcd per value instead of a chain of
     Fraction operators. A matrix's canonical int v at scale L gives
-    (v / g, L / g), g = gcd(v, L); it has no axis, so params is a TypeError.
-    A config's row i holds sq_dist(a, p) for the i-th a of params (default
-    src.p1_params) and each P2 point p, in order. With a = an/ad, f = fn/fd
-    p's first coordinate and r = rho_sq = rn/rd, a - f = tn/td for tn =
-    an fd - fn ad and td = ad fd, so (a - f)^2 + r = (tn^2 rd + rn td^2) / (td^2 rd).
+    (v / g, L / g), g = gcd(v, L). A config's row i holds sq_dist(a, p) for
+    its i-th axis parameter a (src.p1_params[i]) and each P2 point p, in
+    order. With a = an/ad, f = fn/fd p's first coordinate and r = rho_sq =
+    rn/rd, a - f = tn/td for tn = an fd - fn ad and td = ad fd, so
+    (a - f)^2 + r = (tn^2 rd + rn td^2) / (td^2 rd).
     """
     if isinstance(src, SqDistMatrix):
-        if params is not None:
-            raise TypeError("rows at given params need a coordinate Config, not a matrix")
         scale = src.scale
         for row in src.scaled:
             yield [(v // (g := math.gcd(v, scale)), scale // g) for v in row]
@@ -141,7 +139,7 @@ def sq_dist_rows(src: Source, params: Iterable[Rational] | None = None) -> Itera
     for p in src.p2_points:
         f, r = p.coords[0], rho_sq(p)
         cols.append((f.numerator, f.denominator, r.numerator, r.denominator))
-    for a in src.p1_params if params is None else params:
+    for a in src.p1_params:
         an, ad = a.numerator, a.denominator
         row = []
         for fn, fd, rn, rd in cols:

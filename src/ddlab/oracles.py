@@ -3,10 +3,10 @@
 These recompute the quadruple counts and the per-curve incidence counts
 straight from their definitions, sharing no counting logic with the fast
 paths they check. They read only the input's own values (a config's
-points and axis parameters, a matrix's canonical table, its only form, the
-grid's parameters), never a config's scaled int view, a curve family or a
-hash table, so they check a config's scaling, the family build and the
-incidence join independently. On a matrix the quadruple oracle and the
+points and axis parameters, a matrix's canonical table, its only form),
+never a config's scaled int view, a curve family or a hash table, so they
+check a config's scaling, the family build and the incidence join
+independently. On a matrix the quadruple oracle and the
 fast energy kernel read the same canonical ints. Each squared distance is
 compared as its reduced (numerator, denominator) pair, which equals
 another pair exactly when the values are equal, computed from the
@@ -19,10 +19,8 @@ the guard they refuse rather than silently take minutes.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .errors import TooLargeError
-from .exact import Config, Rational, Source, sq_dist_rows
+from .exact import Config, Source, sq_dist_rows
 
 QUADRUPLE_GUARD = 2000  # max n*m
 INCIDENCE_GUARD = 10_000_000  # max n^2 * curve count
@@ -45,20 +43,20 @@ def oracle_quadruples(src: Source) -> tuple[int, int, int]:
     return q, q0, q - q0
 
 
-def oracle_incidences(params: Sequence[Rational], cfg: Config) -> tuple[int, ...]:
-    """Incidences per curve (i, j), i-major with i != j, at every grid point (s, t) of params^2.
+def oracle_incidences(cfg: Config) -> tuple[int, ...]:
+    """Incidences per curve (i, j), i-major with i != j, at every grid point (s, t) of P1^2.
 
-    params are the grid's rational axis parameters: cfg.p1_params, or any
-    other grid. (s, t) is on curve (i, j) exactly when
+    The grid is the config's own axis parameters, cfg.p1_params. (s, t) is
+    on curve (i, j) exactly when
     (s - x_i)^2 + rho_sq(p_i) == (t - x_j)^2 + rho_sq(p_j), that is when
     sq_dist(s, p_i) == sq_dist(t, p_j); both sides are the reduced pairs of
     the parameters' and the points' own rationals.
     """
-    n, m = len(params), cfg.m
+    n, m = cfg.n, cfg.m
     work = n * n * m * (m - 1)
     if work > INCIDENCE_GUARD:
         raise TooLargeError(f"n^2 * curves = {work} exceeds the oracle guard {INCIDENCE_GUARD}")
-    rows = list(sq_dist_rows(cfg, params))
+    rows = list(sq_dist_rows(cfg))
     cols = [[row[i] for row in rows] for i in range(m)]  # sq_dist(s, p_i) for each s
     return tuple(
         sum(cols[j].count(left) for left in cols[i]) for i in range(m) for j in range(m) if i != j

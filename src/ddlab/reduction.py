@@ -172,28 +172,25 @@ class IncidenceReport:
 def incidences(grid: IntView, family: HyperbolaFamily) -> IncidenceReport:
     """Count grid points on each curve, exactly, on plain ints.
 
-    grid is an IntView, of which only scale and params are read: the
-    config's own Config.view, or any other scaled grid. Grid and family are
-    lifted to one L, the lcm of their two scales, so a config's own view
-    is read as it is. (s, t) is on curve (i, j) exactly when
-    (s + shift_i)^2 + rho_i = (t + shift_j)^2 + rho_j, so the join keys each
-    (point i, grid value s) once by (s + shift_i)^2 + rho_i, and a value
+    grid is the config's own Config.view, of which only scale and params
+    are read; the family's int columns are at the same scale, so both are
+    read as they are, and a grid at another scale raises ValueError. With
+    x_i = firsts[i], (s, t) is on curve (i, j) exactly when
+    (s - x_i)^2 + rho_i = (t - x_j)^2 + rho_j, so the join keys each
+    (point i, grid value s) once by (s - x_i)^2 + rho_i, and a value
     taken c_i times by point i and c_j times by point j != i puts c_i c_j
     grid points on curve (i, j). That is O(n m + I) work for I incidences.
 
     Each shared value counts for (i, j) and for (j, i), so per_curve is
     mirror-symmetric and half of the total lies on each sign of gamma.
     """
-    scale = math.lcm(family.scale, grid.scale)
-    lift, factor = scale // grid.scale, scale // family.scale
-    params = [s * lift for s in grid.params]
-    shifts = [-x * factor for x in family.firsts]  # alpha of curves (i, .), beta of (., i)
-    rhos = [r * factor * factor for r in family.rhos]
+    if grid.scale != family.scale:
+        raise ValueError(f"grid scale {grid.scale} is not the family's scale {family.scale}")
     m = family.m
     first: dict[int, int] = {}  # value -> the first point taking it
     shared: dict[int, list[int]] = {}  # recurring value -> its point per grid value
-    for i, (shift, rho) in enumerate(zip(shifts, rhos)):
-        for v in [(s + shift) * (s + shift) + rho for s in params]:
+    for i, (x, rho) in enumerate(zip(family.firsts, family.rhos)):
+        for v in [(s - x) * (s - x) + rho for s in grid.params]:
             if v not in first:
                 first[v] = i
             else:

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from ddlab import Config, Point, gen_random
-from ddlab.exact import IntView, common_denominator, scaled_ints
 
 
 @pytest.fixture(autouse=True)
@@ -33,14 +32,6 @@ def sign_split(per_curve, family) -> tuple[int, int]:
     """Incidences on the family's curves with gamma > 0 and with gamma < 0."""
     pos = sum(c for c, h in zip(per_curve, family.iter_curves()) if h.gamma > 0)
     return pos, sum(per_curve) - pos
-
-
-def foreign_grid(params) -> IntView:
-    """A grid of rational axis parameters other than a config's own (repeats
-    allowed), scaled to ints the way Config.view scales a config's."""
-    params = [Fraction(a) for a in params]
-    scale = common_denominator(params)
-    return IntView(scale, tuple(scaled_ints(params, scale)), (), ())
 
 
 def matrix_values(mat) -> tuple[tuple[Fraction, ...], ...]:

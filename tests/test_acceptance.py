@@ -127,7 +127,7 @@ def test_02_incidence_bijection(corpus):
             q1 = energy_report(cfg).energy_cross
             fam = build_family(cfg)
             fast = incidences(cfg.view, fam)
-            assert fast.per_curve == oracle_incidences(cfg.p1_params, cfg)
+            assert fast.per_curve == oracle_incidences(cfg)
             assert fast.total == q1
             checked += 1
         elapsed = time.monotonic() - start

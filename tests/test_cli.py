@@ -228,8 +228,8 @@ class TestVerify:
         path.write_text("k=2,c=1\nP1,0\nP1,2\nP2,0,1\nP2,1,2\n", encoding="utf-8")
         real = ddlab.cli.oracle_incidences
 
-        def injected(grid, cfg):
-            assert real(grid, cfg) == (2, 2)
+        def injected(cfg):
+            assert real(cfg) == (2, 2)
             return per_curve
 
         monkeypatch.setattr(ddlab.cli, "oracle_incidences", injected)

@@ -1,4 +1,8 @@
-"""Every demo script runs to completion as its own process."""
+"""Every demo script runs to completion as its own process, and prints its recorded stdout.
+
+tests/data/demos/<name>.txt holds each demo's stdout, byte for byte; it is
+the same with PYTHONHASHSEED unset and set.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+RECORDED = Path(__file__).parent / "data" / "demos"
 
 
 def test_demos_found():
@@ -30,3 +35,8 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.stdout == (RECORDED / f"{demo.stem}.txt").read_text(encoding="utf-8")
+
+
+def test_every_recording_has_a_demo():
+    assert sorted(p.stem for p in RECORDED.glob("*.txt")) == [d.stem for d in DEMOS]

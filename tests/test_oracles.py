@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,14 +13,16 @@ from ddlab import (
     Config,
     SqDistMatrix,
     TooLargeError,
-    build_family,
     gen_cylinder_extremal,
     gen_random,
     oracle_incidences,
     oracle_quadruples,
 )
 from ddlab.exact import sq_dist_rows
+from ddlab.io import load_source
 from ddlab.oracles import INCIDENCE_GUARD, QUADRUPLE_GUARD
+
+VERIFY = Path(__file__).parent / "data" / "verify"
 
 
 def test_quadruple_oracle_on_tiny_config():
@@ -49,14 +52,17 @@ def test_quadruple_oracle_guard_comes_before_the_table(monkeypatch):
         oracle_quadruples(cfg)
 
 
-def test_incidence_oracle_guard():
-    cfg = gen_random(n=2, m=33, k=2, seed=0, coord_range=200)
-    family = build_family(cfg)
-    big_grid = tuple(Fraction(i) for i in range(100))
-    assert len(big_grid) ** 2 * len(family) > INCIDENCE_GUARD
+def test_incidence_oracle_guard(monkeypatch):
+    cfg = load_source(VERIFY / "incidence-guard.csv")
+    assert (cfg.n, cfg.m) == (100, 40)
+    assert cfg.n ** 2 * cfg.m * (cfg.m - 1) == 15_600_000 > INCIDENCE_GUARD
+
+    def no_distances(*args):
+        raise AssertionError("sq_dist_rows called before the guard")
+
+    monkeypatch.setattr(ddlab.oracles, "sq_dist_rows", no_distances)
     with pytest.raises(TooLargeError):
-        oracle_incidences(big_grid, cfg)
-    assert "curves" not in family.__dict__  # refused before any curve was built
+        oracle_incidences(cfg)
 
 
 def test_oracle_accepts_matrix():
@@ -64,15 +70,8 @@ def test_oracle_accepts_matrix():
     assert oracle_quadruples(SqDistMatrix.from_config(cfg)) == oracle_quadruples(cfg)
 
 
-def test_matrix_rows_refuse_foreign_params():
-    # a matrix holds its own rows only; taking them "at" other params used to
-    # return those rows anyway, so the incidence oracle counted over the
-    # matrix's n rows while its guard read len(params)
+def test_matrix_rows_are_the_config_rows():
+    # a source's rows are its own: a config's at its P1 params, a matrix's as stored
     cfg = gen_random(n=3, m=3, k=2, seed=1, coord_range=40)
     mat = SqDistMatrix.from_config(cfg)
     assert list(sq_dist_rows(mat)) == list(sq_dist_rows(cfg))
-    with pytest.raises(TypeError, match="not a matrix"):
-        list(sq_dist_rows(mat, cfg.p1_params))
-    with pytest.raises(TypeError, match="not a matrix"):
-        oracle_incidences([Fraction(0)], mat)
-    assert len(oracle_incidences([Fraction(0)], cfg)) == cfg.m * (cfg.m - 1)

@@ -8,8 +8,9 @@ coordinate range (134 incidences), a k=3 config with denominators 30 from a
 scale of 1/6 and an axis shift of 1/5 (26 incidences) and the radical-line
 fixture (none). tests/data/sweep/grid.csv is the CSV of SWEEP_ARGV. All
 were recorded before the incidence count became a grouped join.
-tests/data/gen holds the stdout of each GEN_ARGV entry, recorded while
-gen_random still drew its coordinates as Fractions.
+tests/data/gen holds the stdout of each GEN_ARGV entry: the random ones
+recorded while gen_random still drew its coordinates as Fractions, and one
+argument set for each of the two fixed generators.
 """
 
 from __future__ import annotations
@@ -32,11 +33,13 @@ GEN_ARGV = {
     # 21 point draws for 6 points: 15 are rejected for a repeated axis
     # coordinate or squared axis distance
     "random-rejections": ["--n", "3", "--m", "6", "--coord-range", "9", "--seed", "0"],
+    "cylinder": ["--generator", "cylinder", "--n", "4", "--m", "3", "--offset", "7/3"],
+    "orthogonal": ["--generator", "orthogonal", "--n", "3", "--m", "4"],
 }
 
 
 @pytest.mark.parametrize("name", GEN_ARGV)
-def test_gen_random_is_pinned(name, capsys):
+def test_gen_is_pinned(name, capsys):
     assert main(["gen"] + GEN_ARGV[name]) == 0
     assert capsys.readouterr().out == (DATA / "gen" / f"{name}.csv").read_text(encoding="utf-8")
 

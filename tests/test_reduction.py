@@ -211,7 +211,7 @@ class TestIncidences:
             cfg = gen_random(n=n, m=m, k=rng.choice((2, 3, 4)), seed=seed, coord_range=9 * (n + m))
             family = build_family(cfg)
             fast = incidences(cfg.view, family)
-            per_curve = oracle_incidences(cfg.p1_params, cfg)
+            per_curve = oracle_incidences(cfg)
             assert fast.per_curve == per_curve
             assert sum(fast.per_curve) == fast.total
             assert sign_split(per_curve, family) == (fast.total // 2, fast.total // 2)
@@ -219,7 +219,7 @@ class TestIncidences:
     def test_fractional_coordinates(self):
         cfg = fractional_config(2, n=4, m=5, k=2)
         family = build_family(cfg)
-        assert incidences(cfg.view, family).per_curve == oracle_incidences(cfg.p1_params, cfg)
+        assert incidences(cfg.view, family).per_curve == oracle_incidences(cfg)
 
     def test_grid_takes_literals(self):
         # the join's grid is the config's view, so its params coerce as Config's
@@ -227,7 +227,7 @@ class TestIncidences:
         literal = Config.of(2, 1, ["1/2", "2"], [(0, 1), (1, 2)])
         assert literal.p1_params == (Fraction(1, 2), Fraction(2))
         rep = incidences(literal.view, build_family(literal))
-        assert rep.per_curve == oracle_incidences(literal.p1_params, literal)
+        assert rep.per_curve == oracle_incidences(literal)
         with pytest.raises(FormatError, match=r"bad rational literal: '1\.5'"):
             Config.of(2, 1, ["1.5"], [(0, 1), (1, 2)])
 

@@ -33,8 +33,9 @@ from ddlab import (
     validate_constraints,
 )
 from ddlab.energy import _numpy_report, energy
+from ddlab.exact import IntView
 from ddlab.io import read_matrix, write_gamma_csv, write_matrix
-from conftest import foreign_grid, fractional_config, sign_split
+from conftest import fractional_config, sign_split
 
 DENOMINATORS = (1, 2, 3, 5, 7, 12)
 
@@ -63,11 +64,8 @@ def mixed_configs(draw) -> Config:
 
 
 @settings(max_examples=120, deadline=None)
-@given(
-    mixed_configs(),
-    st.lists(rationals(), min_size=1, max_size=5, unique=True),
-)
-def test_int_kernels_match_rational_references(cfg, foreign_params):
+@given(mixed_configs())
+def test_int_kernels_match_rational_references(cfg):
     rep = energy_report(cfg)
     assert rep == energy(cfg)
     assert (rep.energy, rep.energy_same_point, rep.energy_cross) == oracle_quadruples(cfg)
@@ -92,12 +90,9 @@ def test_int_kernels_match_rational_references(cfg, foreign_params):
         for (i, j), a, b, g in expected
     )
 
-    # the config's own grid, then one whose denominators the family's scale misses
-    foreign = sorted(foreign_params)
-    for params, grid in ((cfg.p1_params, cfg.view), (foreign, foreign_grid(foreign))):
-        fast = incidences(grid, family)
-        assert fast.per_curve == oracle_incidences(params, cfg)
-    assert incidences(cfg.view, family).total == rep.energy_cross
+    fast = incidences(cfg.view, family)
+    assert fast.per_curve == oracle_incidences(cfg)
+    assert fast.total == rep.energy_cross
 
 
 # A narrow coordinate range makes grid values collide, so the incidence count
@@ -143,22 +138,16 @@ def _mirror(per_curve, m: int) -> list[int]:
 
 
 @settings(max_examples=100, deadline=None)
-@given(dense_families(), st.lists(rationals(), max_size=6))
-def test_join_per_curve_matches_oracle(cfg_family, foreign_params):
+@given(dense_families())
+def test_join_per_curve_matches_oracle(cfg_family):
     cfg, family = cfg_family
     own = incidences(cfg.view, family)
     target(float(own.total), label="incidences on the config's grid")
     assert own.total == energy_report(cfg).energy_cross
+    assert own.per_curve == oracle_incidences(cfg)
     # (s, t) on curve (i, j) iff (t, s) on curve (j, i), and the swap flips gamma's sign
     assert list(own.per_curve) == _mirror(own.per_curve, cfg.m)
     assert sign_split(own.per_curve, family) == (own.total // 2, own.total // 2)
-    # a grid of other denominators, possibly with repeated values
-    for params, grid in ((cfg.p1_params, cfg.view), (foreign_params, foreign_grid(foreign_params))):
-        fast = incidences(grid, family)
-        per_curve = oracle_incidences(params, cfg)
-        assert fast.per_curve == per_curve
-        assert fast.total == sum(fast.per_curve)
-        assert sign_split(per_curve, family) == (fast.total // 2, fast.total // 2)
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["mirror-row-first", "mirror-row-second"])
@@ -170,19 +159,19 @@ def test_join_counts_a_value_taken_twice_by_one_row(order):
     family = build_family(cfg)
     rep = incidences(cfg.view, family)
     assert rep.per_curve == (2, 2)
-    assert rep.per_curve == oracle_incidences(cfg.p1_params, cfg)
+    assert rep.per_curve == oracle_incidences(cfg)
     assert rep.total == energy_report(cfg).energy_cross == 4
 
 
 def test_join_on_a_grid_the_family_scale_misses():
-    # curve (0, 1) is (t - 1)^2 - s^2 = 3, which passes through (11/5, 19/5)
+    # the join reads grid and family at one scale; a grid of fifths against
+    # a family at scale 1 is refused, not miscounted
     cfg = Config.of(k=2, c=1, p1_params=[0], p2_points=[(0, 2), (1, 1)])
     family = build_family(cfg)
     assert family.scale == 1
-    fifths = [Fraction(a, 5) for a in range(-20, 21)]
-    rep = incidences(foreign_grid(fifths), family)
-    assert rep.per_curve == oracle_incidences(fifths, cfg)
-    assert rep.total > incidences(foreign_grid(range(-4, 5)), family).total > 0
+    fifths = IntView(5, tuple(range(-20, 21)), (), ())  # the params -4, -19/5, ..., 4
+    with pytest.raises(ValueError, match="scale 5"):
+        incidences(fifths, family)
 
 
 def test_join_with_no_incidences():
@@ -190,10 +179,7 @@ def test_join_with_no_incidences():
     family = build_family(cfg)
     zero = IncidenceReport(per_curve=(0, 0))
     assert incidences(cfg.view, family) == zero
-    assert oracle_incidences(cfg.p1_params, cfg) == zero.per_curve
-    for params in ([Fraction(1, 3)], []):
-        assert incidences(foreign_grid(params), family) == zero
-        assert oracle_incidences(params, cfg) == zero.per_curve
+    assert oracle_incidences(cfg) == zero.per_curve
     assert energy_report(cfg).energy_cross == 0
 
 
@@ -238,16 +224,13 @@ def _refuse_fraction_arithmetic(monkeypatch) -> None:
 def test_kernels_do_no_fraction_arithmetic(monkeypatch):
     cfg = fractional_config(4, n=5, m=5, k=3)
     mat = SqDistMatrix.from_config(cfg)
-    grid = foreign_grid([Fraction(1, 7), Fraction(2, 5), Fraction(3)])
     _refuse_fraction_arithmetic(monkeypatch)
     energy_report(cfg)
     energy_report(mat)
     buf = io.StringIO()
     write_matrix(mat, buf)  # the file reader and writer stay on the scaled ints too
     assert read_matrix(io.StringIO(buf.getvalue())).scaled == mat.scaled
-    family = build_family(cfg)
-    for g in (cfg.view, grid):
-        incidences(g, family)
+    incidences(cfg.view, build_family(cfg))
 
 
 def test_numpy_kernel_does_no_fraction_arithmetic(monkeypatch):

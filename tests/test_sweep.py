@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from ddlab import SweepSpec, rows_to_csv, run_sweep
+from ddlab.cli import _verify_checks
 from ddlab.errors import DdlabError, GenerationExhaustedError
-from ddlab.sweep import CSV_COLUMNS, check_options, compute_row
+from ddlab.sweep import CSV_COLUMNS, GENERATORS, check_options, compute_row, generate
 
 
 def test_csv_header():
@@ -113,3 +116,27 @@ def test_compute_row_direct():
     row = compute_row(spec, 3, 3, 0)
     assert (row.n, row.m, row.seed) == (3, 3, 0)
     assert row.x >= 1
+
+
+@pytest.mark.parametrize("generator", GENERATORS)
+def test_row_agrees_with_verify(generator):
+    # compute_row recomputes three of verify's lines and the join's total
+    # apart from cli._verify_checks: each must read as verify reads it
+    spec = SweepSpec(n_list=(1,), m_list=(1,), seeds=(0,), generator=generator)
+    seeds = (0, 1, 2) if generator == "random" else (0,)
+    reduced = 0
+    for n, m, seed in product((1, 2, 5, 9), (1, 2, 4, 7), seeds):
+        row = compute_row(spec, n, m, seed)
+        src = generate(generator, n, m, k=spec.k, seed=seed, coord_range=spec.coord_range)
+        checks = {name: (status, detail) for name, status, detail in _verify_checks(src)}
+        assert row.error == ""
+        assert row.chain_ok == (checks["chain"][0] == "PASS")
+        assert row.q0_ok == (checks["q0-bound"][0] == "PASS")
+        status, detail = checks["bijection"]  # "Q1 = <Q1> vs incidences = <I>"
+        if status == "SKIP":
+            assert row.bijection_ok is None and row.I is None
+        else:
+            reduced += 1
+            assert row.bijection_ok == (status == "PASS")
+            assert row.I == int(detail.rpartition(" = ")[2])
+    assert (reduced > 0) == (generator == "random")
