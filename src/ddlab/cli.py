@@ -15,19 +15,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import Counter
 from io import StringIO
-from itertools import combinations, islice
 from pathlib import Path
-from typing import Iterator
 
 from . import __version__, bounds, io as dio
-from .energy import check_chain, distance_classes, energy, energy_report
-from .errors import DdlabError, IntersectionCheckError, TooLargeError
-from .exact import Config, SqDistMatrix, validate_constraints
-from .oracles import QUADRUPLE_GUARD, oracle_incidences, oracle_quadruples
-from .reduction import _ordered_pairs, build_family, incidences, intersection_count
+from .energy import energy_report
+from .errors import DdlabError
+from .exact import Config, SqDistMatrix
+from .reduction import build_family, incidences
 from .sweep import GENERATORS, CSV_COLUMNS, SweepSpec, check_options, generate, rows_to_csv, run_sweep
+from .sweep import verify_checks
 
 SWEEP_COLUMNS_HELP = "CSV columns, in order: " + ", ".join(CSV_COLUMNS)
 
@@ -167,184 +164,12 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _once(compute):
-    """A thunk for compute(): it runs on the first call, and every call
-    returns its result or raises its exception again."""
-    memo: list = []
-
-    def get():
-        if not memo:
-            try:
-                memo.append((compute(), None))
-            except Exception as exc:
-                memo.append((None, exc))
-        result, exc = memo[0]
-        if exc is not None:
-            raise exc
-        return result
-
-    return get
-
-
-def _quadruple_images(cfg: Config, classes) -> Iterator[tuple]:
-    """The reduction's map, from distance classes: each cross quadruple
-    (i, j, k, l), with sq_dist(a_i, p_j) = sq_dist(a_k, p_l) and j != l, goes
-    to grid point (a_i, a_k) on curve (j, l)."""
-    a = cfg.p1_params
-    for pairs in classes.classes.values():
-        for i, j in pairs:
-            for k, l in pairs:
-                if j != l:
-                    yield (i, j, k, l), (a[i], a[k]), (j, l)
-
-
-def _verify_checks(src) -> list[tuple[str, str, str]]:
-    """Each check is (name, status, detail) with status PASS/FAIL/SKIP/ERROR.
-
-    Every check runs in its own guard: one that raises is reported as
-    ERROR with the exception, and the later checks still run. Results that
-    several checks share are computed once; a check that needs one that
-    raised reports its own ERROR.
-    """
-    n, m = src.n, src.m
-    # columns that repeat a value more than twice, which distances from a line never do
-    crowded = _once(
-        lambda: 0 if isinstance(src, Config)
-        else sum(1 for col in zip(*src.scaled) if max(Counter(col).values()) > 2)
-    )
-    rep = _once(lambda: energy_report(src))
-    reducible = _once(
-        lambda: isinstance(src, Config) and m >= 2 and validate_constraints(src, c=1).ok
-    )
-    family = _once(lambda: build_family(src))
-    fast = _once(lambda: incidences(src.view, family()))
-    per_curve = _once(lambda: oracle_incidences(src))
-
-    def constraints():
-        if isinstance(src, Config):
-            report = validate_constraints(src)
-            if report.ok:
-                return "PASS", f"multiplicities within c={src.c}"
-            return "FAIL", f"{len(report.violations)} violation(s) at c={src.c}"
-        if crowded():
-            return "FAIL", f"{crowded()} column(s) repeat a value more than twice"
-        return "PASS", "no column repeats a value more than twice"
-
-    def class_grouping():
-        if rep() == energy(src):
-            return "PASS", "streamed and materialized grouping agree"
-        return "FAIL", "streamed and materialized grouping disagree"
-
-    def energy_oracle():
-        try:
-            q, q0, q1 = oracle_quadruples(src)
-        except TooLargeError as exc:
-            return "SKIP", str(exc)
-        fast_q = (rep().energy, rep().energy_same_point, rep().energy_cross)
-        return "PASS" if (q, q0, q1) == fast_q else "FAIL", f"oracle ({q}, {q0}, {q1}) vs fast {fast_q}"
-
-    def chain():
-        report = check_chain(rep())
-        return "PASS" if report.ok else "FAIL", f"x*Q - (nm-x)^2 = {report.slack}, x<=nm/2: {report.x_le_half}"
-
-    def q0_bound():
-        if crowded():
-            return "SKIP", "a column repeats a value more than twice"
-        q0 = rep().energy_same_point
-        return "PASS" if q0 <= n * m else "FAIL", f"Q0 = {q0} vs nm = {n * m}"
-
-    def family_check():
-        # the per-sign totals are total // 2 because curve (i, j) and its mirror
-        # (j, i), of opposite gamma, carry the same incidences: check every pair
-        # row i holds curves (i, j), j != i; a 0 on the diagonal makes the rows square
-        per, w = fast().per_curve, m - 1
-        rows = [per[i * w:i * w + i] + (0,) + per[i * w + i:i * w + w] for i in range(m)]
-        if rows == list(zip(*rows)):
-            half = len(family()) // 2
-            return "PASS", f"{len(family())} curves, sign split {half}/{half}"
-        i, j = next((i, j) for i, j in _ordered_pairs(m) if rows[i][j] != rows[j][i])
-        return "FAIL", f"curve {(i, j)} has {rows[i][j]} incidences, its mirror {(j, i)} has {rows[j][i]}"
-
-    def incidence_modes():
-        # the oracle evaluates every curve at every grid point on the input's own
-        # rationals, not on the family it checks
-        try:
-            oracle = per_curve()
-        except TooLargeError:
-            return "SKIP", f"n^2*curves = {n ** 2 * len(family())} too large"
-        status = "PASS" if fast().per_curve == oracle else "FAIL"
-        return status, f"hash {fast().total} vs naive {sum(oracle)}"
-
-    def incidence_oracle():
-        try:
-            total = sum(per_curve())
-        except TooLargeError as exc:
-            return "SKIP", str(exc)
-        return "PASS" if total == fast().total else "FAIL", f"oracle {total} vs fast {fast().total}"
-
-    def bijection():
-        # below the guard, every cross quadruple's image must lie on its curve
-        if n * m <= QUADRUPLE_GUARD:
-            curves: dict = {}  # built as the images reach them
-            for quad, (s, t), pair in _quadruple_images(src, distance_classes(src)):
-                if pair not in curves:
-                    curves[pair] = family().curve(*pair)
-                if not curves[pair].contains(s, t):
-                    return "FAIL", f"quadruple {quad} maps to grid point ({s}, {t}) off curve {pair}"
-        q1, total = rep().energy_cross, fast().total
-        return "PASS" if total == q1 else "FAIL", f"Q1 = {q1} vs incidences = {total}"
-
-    def intersections():
-        pairs = list(combinations(islice(family().iter_curves(), 40), 2))
-        try:
-            for h1, h2 in pairs:  # each call checks its points on both curves
-                intersection_count(h1, h2)
-        except IntersectionCheckError as exc:
-            return "FAIL", str(exc)
-        return "PASS", f"{len(pairs)} curve pairs, all meeting at most twice"
-
-    def needs_reduction(check):
-        def run():
-            if not reducible():
-                return "SKIP", "needs a coordinate config, m >= 2, valid at c = 1"
-            return check()
-
-        return run
-
-    checks: list[tuple[str, str, str]] = []
-    for name, check in (
-        ("constraints", constraints),
-        ("class-grouping", class_grouping),
-        ("energy-oracle", energy_oracle),
-        ("chain", chain),
-        ("q0-bound", q0_bound),
-        ("family", needs_reduction(family_check)),
-        ("incidence-modes", needs_reduction(incidence_modes)),
-        ("incidence-oracle", needs_reduction(incidence_oracle)),
-        ("bijection", needs_reduction(bijection)),
-        ("intersections", needs_reduction(intersections)),
-    ):
-        try:
-            status, detail = check()
-        except Exception as exc:  # a bug in this check or in what it needs
-            status, detail = "ERROR", f"{type(exc).__name__}: {exc}"
-        checks.append((name, status, detail))
-    return checks
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    src = dio.load_source(args.input)
-    checks = _verify_checks(src)
+    checks = verify_checks(dio.load_source(args.input))
     statuses = {status for _, status, _ in checks}
     if args.json:
-        payload = {
-            "ok": statuses <= {"PASS", "SKIP"},
-            "checks": [
-                {"name": name, "status": status, "detail": detail}
-                for name, status, detail in checks
-            ],
-        }
-        _write_json(payload)
+        rows = [{"name": name, "status": status, "detail": detail} for name, status, detail in checks]
+        _write_json({"ok": statuses <= {"PASS", "SKIP"}, "checks": rows})
     else:
         for name, status, detail in checks:
             sys.stdout.write(f"{status} {name}: {detail}\n")

@@ -1,28 +1,33 @@
-"""Deterministic experiment sweeps over (n, m, seed) grids.
+"""Exact identity checks, and deterministic experiment sweeps over (n, m, seed) grids.
 
-Each row generates one source, runs the exact identities on it, evaluates
-the float bounds and records the observed-to-bound ratios. Energy metrics
-describe the generated source as-is; the incidence columns are filled only
-when the source is a coordinate config already satisfying the c = 1
-conditions (the cylinder construction violates them on purpose, so its
-incidence columns stay empty). A row whose generator refuses it (a count
-below 1, a coord range below n + m, an exhausted draw budget) carries the
-reason in its error cell instead. Rows are ordered by (n, m, seed) and every
-cell is formatted deterministically: the same spec writes byte-identical
-CSV on every run.
+CHECKS is the one ordered table of exact identities; verify prints it. The
+checks look up what they call here, so patching `ddlab.sweep.<name>` reaches
+them. Each sweep row generates one source, reads chain, q0-bound and
+bijection's Q1 = I off the table, evaluates the float bounds and records the
+observed-to-bound ratios. Energy metrics describe the generated source as-is;
+the incidence columns are filled only when the source is a coordinate config
+already satisfying the c = 1 conditions (the cylinder construction violates
+them on purpose, so its incidence columns stay empty). A row whose generator
+refuses it (a count below 1, a coord range below n + m, an exhausted draw
+budget) carries the reason in its error cell instead; any other exception
+escapes the row. Rows are ordered by (n, m, seed) and every cell is formatted
+deterministically: the same spec writes byte-identical CSV on every run.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from collections import Counter
+from itertools import combinations, islice, product
+from typing import Iterator
 
 from . import bounds
 from .configs import gen_cylinder_extremal, gen_orthogonal_extremal, gen_random
-from .energy import check_chain, energy_report
-from .errors import DdlabError
-from .exact import Config, Rational, SqDistMatrix, validate_constraints
+from .energy import check_chain, distance_classes, energy, energy_report
+from .errors import DdlabError, IntersectionCheckError, TooLargeError
+from .exact import Config, Rational, Source, SqDistMatrix, validate_constraints
+from .oracles import QUADRUPLE_GUARD, oracle_incidences, oracle_quadruples
 from .records import frozen_record
-from .reduction import build_family, incidences
+from .reduction import _ordered_pairs, build_family, incidences, intersection_count
 
 GENERATORS = ("random", "cylinder", "orthogonal")
 
@@ -71,6 +76,188 @@ def generate(
     return gen_orthogonal_extremal(n=n, m=m)
 
 
+def _once(compute):
+    """A thunk for compute(): it runs once, and every call returns its result or raises again."""
+    memo: list = []
+
+    def get():
+        if not memo:
+            try:
+                memo.append((compute(), None))
+            except Exception as exc:
+                memo.append((None, exc))
+        if memo[0][1] is not None:
+            raise memo[0][1]
+        return memo[0][0]
+
+    return get
+
+
+class Facts:
+    """The results that several checks of one source share, each computed at most once."""
+
+    def __init__(self, src: Source) -> None:
+        self.src = src
+        # columns that repeat a value more than twice, which distances from a line never do
+        self.crowded = _once(lambda: 0 if isinstance(src, Config) else sum(
+            1 for col in zip(*src.scaled) if max(Counter(col).values()) > 2))
+        self.report = _once(lambda: energy_report(src))
+        self.reducible = _once(lambda: isinstance(src, Config) and src.m >= 2 and validate_constraints(src, c=1).ok)
+        self.family = _once(lambda: build_family(src))
+        self.join = _once(lambda: incidences(src.view, self.family()))
+        self.per_curve = _once(lambda: oracle_incidences(src))
+
+
+def _reduced(check):
+    """check, run where the reduction applies; any other source SKIPs it."""
+
+    def gated(facts: Facts) -> tuple[str, str]:
+        if not facts.reducible():
+            return "SKIP", "needs a coordinate config, m >= 2, valid at c = 1"
+        return check(facts)
+
+    return gated
+
+
+def _quadruple_images(cfg: Config, classes) -> Iterator[tuple]:
+    """The reduction's map, from distance classes: each cross quadruple
+    (i, j, k, l), with sq_dist(a_i, p_j) = sq_dist(a_k, p_l) and j != l, goes
+    to grid point (a_i, a_k) on curve (j, l)."""
+    a = cfg.p1_params
+    for pairs in classes.classes.values():
+        for i, j in pairs:
+            for k, l in pairs:
+                if j != l:
+                    yield (i, j, k, l), (a[i], a[k]), (j, l)
+
+
+def _constraints(facts: Facts) -> tuple[str, str]:
+    src = facts.src
+    if isinstance(src, Config):
+        report = validate_constraints(src)
+        if report.ok:
+            return "PASS", f"multiplicities within c={src.c}"
+        return "FAIL", f"{len(report.violations)} violation(s) at c={src.c}"
+    if facts.crowded():
+        return "FAIL", f"{facts.crowded()} column(s) repeat a value more than twice"
+    return "PASS", "no column repeats a value more than twice"
+
+
+def _class_grouping(facts: Facts) -> tuple[str, str]:
+    if facts.report() == energy(facts.src):
+        return "PASS", "streamed and materialized grouping agree"
+    return "FAIL", "streamed and materialized grouping disagree"
+
+
+def _energy_oracle(facts: Facts) -> tuple[str, str]:
+    try:
+        q, q0, q1 = oracle_quadruples(facts.src)
+    except TooLargeError as exc:
+        return "SKIP", str(exc)
+    fast_q = (facts.report().energy, facts.report().energy_same_point, facts.report().energy_cross)
+    return "PASS" if (q, q0, q1) == fast_q else "FAIL", f"oracle ({q}, {q0}, {q1}) vs fast {fast_q}"
+
+
+def _chain(facts: Facts) -> tuple[str, str]:
+    report = check_chain(facts.report())
+    return "PASS" if report.ok else "FAIL", f"x*Q - (nm-x)^2 = {report.slack}, x<=nm/2: {report.x_le_half}"
+
+
+def _q0_bound(facts: Facts) -> tuple[str, str]:
+    if facts.crowded():
+        return "SKIP", "a column repeats a value more than twice"
+    q0, nm = facts.report().energy_same_point, facts.src.n * facts.src.m
+    return "PASS" if q0 <= nm else "FAIL", f"Q0 = {q0} vs nm = {nm}"
+
+
+def _family(facts: Facts) -> tuple[str, str]:
+    # the per-sign totals are total // 2 because curve (i, j) and its mirror
+    # (j, i), of opposite gamma, carry the same incidences: check every pair
+    # row i holds curves (i, j), j != i; a 0 on the diagonal makes the rows square
+    m = facts.src.m
+    per, w = facts.join().per_curve, m - 1
+    rows = [per[i * w:i * w + i] + (0,) + per[i * w + i:i * w + w] for i in range(m)]
+    if rows == list(zip(*rows)):
+        half = len(facts.family()) // 2
+        return "PASS", f"{len(facts.family())} curves, sign split {half}/{half}"
+    i, j = next((i, j) for i, j in _ordered_pairs(m) if rows[i][j] != rows[j][i])
+    return "FAIL", f"curve {(i, j)} has {rows[i][j]} incidences, its mirror {(j, i)} has {rows[j][i]}"
+
+
+def _incidence_modes(facts: Facts) -> tuple[str, str]:
+    # the oracle evaluates every curve at every grid point on the input's own
+    # rationals, not on the family it checks
+    try:
+        oracle = facts.per_curve()
+    except TooLargeError:
+        return "SKIP", f"n^2*curves = {facts.src.n ** 2 * len(facts.family())} too large"
+    status = "PASS" if facts.join().per_curve == oracle else "FAIL"
+    return status, f"hash {facts.join().total} vs naive {sum(oracle)}"
+
+
+def _incidence_oracle(facts: Facts) -> tuple[str, str]:
+    try:
+        total = sum(facts.per_curve())
+    except TooLargeError as exc:
+        return "SKIP", str(exc)
+    return "PASS" if total == facts.join().total else "FAIL", f"oracle {total} vs fast {facts.join().total}"
+
+
+def _bijection_identity(facts: Facts) -> tuple[str, str]:
+    q1, total = facts.report().energy_cross, facts.join().total
+    return "PASS" if total == q1 else "FAIL", f"Q1 = {q1} vs incidences = {total}"
+
+
+def _bijection(facts: Facts) -> tuple[str, str]:
+    # below the guard, every cross quadruple's image must lie on its curve
+    src = facts.src
+    if src.n * src.m <= QUADRUPLE_GUARD:
+        curves: dict = {}  # built as the images reach them
+        for quad, (s, t), pair in _quadruple_images(src, distance_classes(src)):
+            if pair not in curves:
+                curves[pair] = facts.family().curve(*pair)
+            if not curves[pair].contains(s, t):
+                return "FAIL", f"quadruple {quad} maps to grid point ({s}, {t}) off curve {pair}"
+    return _bijection_identity(facts)
+
+
+def _intersections(facts: Facts) -> tuple[str, str]:
+    pairs = list(combinations(islice(facts.family().iter_curves(), 40), 2))
+    try:
+        for h1, h2 in pairs:  # each call checks its points on both curves
+            intersection_count(h1, h2)
+    except IntersectionCheckError as exc:
+        return "FAIL", str(exc)
+    return "PASS", f"{len(pairs)} curve pairs, all meeting at most twice"
+
+
+CHECKS = (
+    ("constraints", _constraints),
+    ("class-grouping", _class_grouping),
+    ("energy-oracle", _energy_oracle),
+    ("chain", _chain),
+    ("q0-bound", _q0_bound),
+    ("family", _reduced(_family)),
+    ("incidence-modes", _reduced(_incidence_modes)),
+    ("incidence-oracle", _reduced(_incidence_oracle)),
+    ("bijection", _reduced(_bijection)),
+    ("intersections", _reduced(_intersections)),
+)
+
+
+def verify_checks(src: Source) -> list[tuple[str, str, str]]:
+    """Each check as (name, status, detail), status PASS/FAIL/SKIP/ERROR: one that raises, or
+    needs a shared result that raised, reads ERROR with the exception; the later checks still run."""
+    facts, results = Facts(src), []
+    for name, check in CHECKS:
+        try:
+            status, detail = check(facts)
+        except Exception as exc:  # a bug in this check or in what it needs
+            status, detail = "ERROR", f"{type(exc).__name__}: {exc}"
+        results.append((name, status, detail))
+    return results
+
+
 @frozen_record
 class SweepSpec:
     n_list: tuple[int, ...]
@@ -110,6 +297,7 @@ class SweepRow:
 
 
 CSV_COLUMNS = SweepRow.__match_args__
+_VERDICT = {"PASS": True, "FAIL": False, "SKIP": None}
 
 
 def _cell(value) -> str:
@@ -128,30 +316,17 @@ def compute_row(spec: SweepSpec, n: int, m: int, seed: int) -> SweepRow:
         src = generate(spec.generator, n, m, k=spec.k, seed=seed, coord_range=spec.coord_range)
     except DdlabError as exc:
         return SweepRow(error=str(exc), **base)
-    rep = energy_report(src)
-    q0_ok = rep.energy_same_point <= n * m
-    inc_total: int | None = None
-    bijection_ok: bool | None = None
-    if isinstance(src, Config) and m >= 2 and validate_constraints(src, c=1).ok:
-        family = build_family(src)
-        inc_total = incidences(src.view, family).total
-        bijection_ok = inc_total == rep.energy_cross
+    facts = Facts(src)
+    rep = facts.report()
+    bijection_ok = _VERDICT[_reduced(_bijection_identity)(facts)[0]]
     bound = bounds.distinct_lower_bound(n, m, spec.log_convention)
-    expr = bounds.energy_upper_expr(n, m, spec.log_convention)
     return SweepRow(
-        x=rep.distinct_count,
-        Q=rep.energy,
-        Q0=rep.energy_same_point,
-        Q1=rep.energy_cross,
-        I=inc_total,
-        bound_min=bound.min_value,
-        regime=bound.regime.value,
+        x=rep.distinct_count, Q=rep.energy, Q0=rep.energy_same_point, Q1=rep.energy_cross,
+        I=None if bijection_ok is None else facts.join().total,
+        bound_min=bound.min_value, regime=bound.regime.value,
         ratio_x_over_bound=rep.distinct_count / bound.min_value,
-        ratio_Q_over_expr=rep.energy / expr,
-        chain_ok=check_chain(rep).ok,
-        q0_ok=q0_ok,
-        bijection_ok=bijection_ok,
-        **base,
+        ratio_Q_over_expr=rep.energy / bounds.energy_upper_expr(n, m, spec.log_convention),
+        chain_ok=_VERDICT[_chain(facts)[0]], q0_ok=_VERDICT[_q0_bound(facts)[0]], bijection_ok=bijection_ok, **base,
     )
 
 

@@ -17,6 +17,7 @@ import pytest
 
 import ddlab.cli
 import ddlab.reduction
+import ddlab.sweep
 from ddlab import Hyperbola, HyperbolaFamily, IncidenceReport, energy_report, gen_random
 from ddlab.bounds import distinct_lower_bound, energy_upper_expr
 from ddlab.cli import main
@@ -226,13 +227,13 @@ class TestVerify:
         # the worked example: two curves with two incidences each
         path = tmp_path / "cfg.csv"
         path.write_text("k=2,c=1\nP1,0\nP1,2\nP2,0,1\nP2,1,2\n", encoding="utf-8")
-        real = ddlab.cli.oracle_incidences
+        real = ddlab.sweep.oracle_incidences
 
         def injected(cfg):
             assert real(cfg) == (2, 2)
             return per_curve
 
-        monkeypatch.setattr(ddlab.cli, "oracle_incidences", injected)
+        monkeypatch.setattr(ddlab.sweep, "oracle_incidences", injected)
         code, out = run_cli("verify", "--input", str(path), capsys=capsys)
         assert code == 1
         assert f"{modes} incidence-modes: hash 4 vs naive {sum(per_curve)}\n" in out
@@ -244,14 +245,14 @@ class TestVerify:
         # its mirror keeps the total but breaks the mirror symmetry
         path = tmp_path / "cfg.csv"
         path.write_text("k=2,c=1\nP1,0\nP1,2\nP2,0,1\nP2,1,2\n", encoding="utf-8")
-        real = ddlab.cli.incidences
+        real = ddlab.sweep.incidences
 
         def injected(grid, family):
             rep = real(grid, family)
             assert rep.per_curve == (2, 2)
             return IncidenceReport(per_curve=(1, 3))
 
-        monkeypatch.setattr(ddlab.cli, "incidences", injected)
+        monkeypatch.setattr(ddlab.sweep, "incidences", injected)
         code, out = run_cli("verify", "--input", str(path), capsys=capsys)
         assert code == 1
         assert "FAIL family: curve (0, 1) has 1 incidences, its mirror (1, 0) has 3\n" in out
@@ -260,7 +261,7 @@ class TestVerify:
     def test_family_reports_the_first_broken_pair(self, capsys, monkeypatch):
         # m = 7: moving the incidence of curve (2, 4), index 2 * 6 + 3, to its
         # mirror (4, 2), index 4 * 6 + 2, breaks only that pair, first seen as (2, 4)
-        real = ddlab.cli.incidences
+        real = ddlab.sweep.incidences
 
         def injected(grid, family):
             per_curve = list(real(grid, family).per_curve)
@@ -268,7 +269,7 @@ class TestVerify:
             per_curve[15], per_curve[26] = 0, 2
             return IncidenceReport(per_curve=tuple(per_curve))
 
-        monkeypatch.setattr(ddlab.cli, "incidences", injected)
+        monkeypatch.setattr(ddlab.sweep, "incidences", injected)
         code, out = run_cli("verify", "--input", str(DATA / "verify" / "fractional.csv"), capsys=capsys)
         assert code == 1
         assert "FAIL family: curve (2, 4) has 0 incidences, its mirror (4, 2) has 2\n" in out
@@ -278,7 +279,7 @@ class TestVerify:
         # that the audit builds; the joins and the intersections see the real family
         path = tmp_path / "cfg.csv"
         path.write_text("k=2,c=1\nP1,0\nP1,2\nP2,0,1\nP2,1,2\n", encoding="utf-8")
-        real = ddlab.cli.build_family
+        real = ddlab.sweep.build_family
 
         class Shifted:
             def __init__(self, family):
@@ -294,7 +295,7 @@ class TestVerify:
                 h = self.family.curve(i, j)
                 return Hyperbola(h.alpha, h.beta, h.gamma + 1, h.src) if (i, j) == (0, 1) else h
 
-        monkeypatch.setattr(ddlab.cli, "build_family", lambda cfg: Shifted(real(cfg)))
+        monkeypatch.setattr(ddlab.sweep, "build_family", lambda cfg: Shifted(real(cfg)))
         code, out = run_cli("verify", "--input", str(path), capsys=capsys)
         assert code == 1
         lines = out.splitlines()
@@ -304,13 +305,13 @@ class TestVerify:
     def test_family_with_doubled_rho_fails_both_incidence_lines(self, capsys, monkeypatch):
         # the oracle reads the config's own rationals, so a family built from
         # wrong int columns disagrees with it on every curve that moved
-        real = ddlab.cli.build_family
+        real = ddlab.sweep.build_family
 
         def doubled(cfg):
             family = real(cfg)
             return HyperbolaFamily(family.scale, family.firsts, tuple(2 * r for r in family.rhos))
 
-        monkeypatch.setattr(ddlab.cli, "build_family", doubled)
+        monkeypatch.setattr(ddlab.sweep, "build_family", doubled)
         code, out = run_cli("verify", "--input", str(DATA / "verify" / "fractional.csv"), capsys=capsys)
         assert code == 1
         assert "FAIL incidence-modes: hash 4 vs naive 10\n" in out
@@ -365,7 +366,7 @@ class TestVerify:
         def broken(src):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(ddlab.cli, "oracle_quadruples", broken)
+        monkeypatch.setattr(ddlab.sweep, "oracle_quadruples", broken)
         code = main(["verify", "--input", str(path)])
         captured = capsys.readouterr()
         assert code == 3
@@ -385,7 +386,7 @@ class TestVerify:
             calls.append(src)
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(ddlab.cli, "energy_report", broken)
+        monkeypatch.setattr(ddlab.sweep, "energy_report", broken)
         code = main(["verify", "--input", str(path), "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 3

@@ -9,8 +9,8 @@ from itertools import combinations, islice, permutations
 from pathlib import Path
 
 import pytest
-import ddlab.cli
 import ddlab.reduction
+import ddlab.sweep
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +35,7 @@ from ddlab import (
     sq_dist,
     validate_constraints,
 )
-from ddlab.cli import _quadruple_images, _verify_checks
+from ddlab.sweep import _quadruple_images, verify_checks
 from ddlab.io import load_source
 from conftest import RADICAL_LINE, fractional_config, sign_split, small_random_config
 
@@ -250,7 +250,7 @@ class TestBijection:
         assert len(set(images)) == len(images) == energy_report(WORKED).energy_cross == 4
         family = build_family(WORKED)
         assert all(family.curve(*pair).contains(*point) for _, point, pair in images)
-        assert ("bijection", "PASS", "Q1 = 4 vs incidences = 4") in _verify_checks(WORKED)
+        assert ("bijection", "PASS", "Q1 = 4 vs incidences = 4") in verify_checks(WORKED)
 
     def test_random_sweep(self):
         for seed in range(14):
@@ -258,7 +258,7 @@ class TestBijection:
             n = rng.randint(1, 8)
             m = rng.randint(2, 8)
             cfg = gen_random(n=n, m=m, k=rng.choice((2, 3)), seed=seed, coord_range=9 * (n + m))
-            checks = {name: (status, detail) for name, status, detail in _verify_checks(cfg)}
+            checks = {name: (status, detail) for name, status, detail in verify_checks(cfg)}
             q1 = energy_report(cfg).energy_cross
             assert checks["bijection"] == ("PASS", f"Q1 = {q1} vs incidences = {q1}")
 
@@ -272,12 +272,12 @@ class TestBijection:
                 audited.append(image)
                 yield image
 
-        monkeypatch.setattr(ddlab.cli, "_quadruple_images", counting)
+        monkeypatch.setattr(ddlab.sweep, "_quadruple_images", counting)
         for size in range(3, 9):
             cfg = Config.of(2, 1, list(range(size)), [(j, j + 1) for j in range(size)])
             audited.clear()
             q1 = energy_report(cfg).energy_cross
-            assert ("bijection", "PASS", f"Q1 = {q1} vs incidences = {q1}") in _verify_checks(cfg)
+            assert ("bijection", "PASS", f"Q1 = {q1} vs incidences = {q1}") in verify_checks(cfg)
             assert len(audited) == q1 > 0
 
     def test_audit_points_are_incident(self):

@@ -6,10 +6,12 @@ from itertools import product
 
 import pytest
 
-from ddlab import SweepSpec, rows_to_csv, run_sweep
-from ddlab.cli import _verify_checks
+import ddlab.sweep
+from ddlab import IncidenceReport, SweepSpec, rows_to_csv, run_sweep
+from ddlab.cli import main
 from ddlab.errors import DdlabError, GenerationExhaustedError
-from ddlab.sweep import CSV_COLUMNS, GENERATORS, check_options, compute_row, generate
+from ddlab.io import save_source
+from ddlab.sweep import CSV_COLUMNS, GENERATORS, check_options, compute_row, generate, verify_checks
 
 
 def test_csv_header():
@@ -120,15 +122,15 @@ def test_compute_row_direct():
 
 @pytest.mark.parametrize("generator", GENERATORS)
 def test_row_agrees_with_verify(generator):
-    # compute_row recomputes three of verify's lines and the join's total
-    # apart from cli._verify_checks: each must read as verify reads it
+    # compute_row reads chain, q0-bound, bijection's Q1 = I and the join's
+    # total off the table that verify prints: each must read as verify reads it
     spec = SweepSpec(n_list=(1,), m_list=(1,), seeds=(0,), generator=generator)
     seeds = (0, 1, 2) if generator == "random" else (0,)
     reduced = 0
     for n, m, seed in product((1, 2, 5, 9), (1, 2, 4, 7), seeds):
         row = compute_row(spec, n, m, seed)
         src = generate(generator, n, m, k=spec.k, seed=seed, coord_range=spec.coord_range)
-        checks = {name: (status, detail) for name, status, detail in _verify_checks(src)}
+        checks = {name: (status, detail) for name, status, detail in verify_checks(src)}
         assert row.error == ""
         assert row.chain_ok == (checks["chain"][0] == "PASS")
         assert row.q0_ok == (checks["q0-bound"][0] == "PASS")
@@ -140,3 +142,38 @@ def test_row_agrees_with_verify(generator):
             assert row.bijection_ok == (status == "PASS")
             assert row.I == int(detail.rpartition(" = ")[2])
     assert (reduced > 0) == (generator == "random")
+
+
+def test_an_extra_incidence_fails_verify_and_the_row(tmp_path, capsys, monkeypatch):
+    # one more incidence on curve (0, 1) breaks Q1 = I for verify and for the
+    # row alike, as both look up the join in ddlab.sweep
+    spec = SweepSpec(n_list=(4,), m_list=(4,), seeds=(0,))
+    path = tmp_path / "cfg.csv"
+    save_source(generate("random", 4, 4, k=2, seed=0, coord_range=None), path)
+    real = ddlab.sweep.incidences
+
+    def one_more(grid, family):
+        per_curve = real(grid, family).per_curve
+        return IncidenceReport(per_curve=(per_curve[0] + 1,) + per_curve[1:])
+
+    monkeypatch.setattr(ddlab.sweep, "incidences", one_more)
+    row = compute_row(spec, 4, 4, 0)
+    assert (row.bijection_ok, row.I) == (False, row.Q1 + 1)
+    assert main(["verify", "--input", str(path)]) == 1
+    assert f"\nFAIL bijection: Q1 = {row.Q1} vs incidences = {row.Q1 + 1}\n" in capsys.readouterr().out
+
+
+def test_an_exception_escapes_the_row(capsys, monkeypatch):
+    # the table's ERROR status belongs to verify: in a sweep a crash is never
+    # a false or empty cell
+    def broken(src):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(ddlab.sweep, "energy_report", broken)
+    spec = SweepSpec(n_list=(3,), m_list=(3,), seeds=(0,))
+    with pytest.raises(RuntimeError, match="^injected$"):
+        compute_row(spec, 3, 3, 0)
+    assert main(["sweep", "--n-list", "3", "--m-list", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: injected\n"

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-import ddlab.cli
+import ddlab.sweep
 from ddlab import gen_orthogonal_extremal
 from ddlab.cli import main
 from ddlab.reduction import Hyperbola, _ordered_pairs
@@ -87,7 +87,7 @@ def test_bijection_past_the_quadruple_guard_audits_no_quadruple(capsys, monkeypa
         raise AssertionError("audited past the guard")
 
     monkeypatch.setattr(Hyperbola, "__post_init__", counting)
-    monkeypatch.setattr(ddlab.cli, "_quadruple_images", no_audit)
+    monkeypatch.setattr(ddlab.sweep, "_quadruple_images", no_audit)
     assert main(["verify", "--input", str(DATA / "incidence-guard.csv")]) == 0
     assert capsys.readouterr().out == (DATA / "incidence-guard.txt").read_text(encoding="utf-8")
     m = load_source(DATA / "incidence-guard.csv").m
@@ -99,13 +99,13 @@ def test_only_the_bijection_audit_builds_pair_lists(name, calls, capsys, monkeyp
     # class-grouping counts reduced-pair keys at every size; distance_classes
     # runs once, for bijection's audit, only at or below QUADRUPLE_GUARD
     built = []
-    real = ddlab.cli.distance_classes
+    real = ddlab.sweep.distance_classes
 
     def spy(src):
         built.append(src)
         return real(src)
 
-    monkeypatch.setattr(ddlab.cli, "distance_classes", spy)
+    monkeypatch.setattr(ddlab.sweep, "distance_classes", spy)
     assert main(["verify", "--input", str(DATA / f"{name}.csv")]) == 0
     assert capsys.readouterr().out == (DATA / f"{name}.txt").read_text(encoding="utf-8")
     assert len(built) == calls
