@@ -1,18 +1,10 @@
-"""ddlab verify's stdout, pinned byte for byte on six recorded inputs.
+"""What ddlab verify builds on its way to the recorded stdout.
 
-tests/data/verify holds each input (<name>.csv) with the text (<name>.txt)
-and --json (<name>.json) stdout recorded before the oracles and
-intersection_count moved to key and int arithmetic: a random c=1 config with
-fractional coordinates, a 50x50 cylinder config past the quadruple oracle's
-guard (the SKIP path), the radical-line fixture and an orthogonal matrix.
-incidence-guard (`ddlab gen --n 100 --m 40 --seed 1`, recorded before the
-quadratic incidence scan was deleted) is reducible but past the incidence
-oracle's guard, so both incidence lines take their SKIP path. The matrix
-recordings were renewed when `constraints` began checking a matrix's
-columns (SKIP became PASS); every other line is unchanged. orthogonal
-(`ddlab gen --generator orthogonal --n 50 --m 50`) is a matrix past the
-quadruple oracle's guard, recorded before class-grouping stopped building
-pair lists.
+Each test runs verify on a recorded input of tests/data/verify (described in
+tests/recordings.py, which pins its text and --json stdout) and checks both
+the recorded bytes and which curves, audits and pair lists the run built;
+test_recorded_inputs checks that each input is the case its recording
+stands for.
 """
 
 from __future__ import annotations
@@ -32,15 +24,6 @@ from ddlab.oracles import INCIDENCE_GUARD, QUADRUPLE_GUARD
 from conftest import RADICAL_LINE
 
 DATA = Path(__file__).parent / "data" / "verify"
-INPUTS = ("fractional", "cylinder", "radical-line", "matrix", "incidence-guard", "orthogonal")
-
-
-@pytest.mark.parametrize("name", INPUTS)
-@pytest.mark.parametrize("form", ("txt", "json"))
-def test_stdout_is_pinned(name, form, capsys):
-    argv = ["verify", "--input", str(DATA / f"{name}.csv")] + (["--json"] if form == "json" else [])
-    assert main(argv) == 0
-    assert capsys.readouterr().out == (DATA / f"{name}.{form}").read_text(encoding="utf-8")
 
 
 def test_recorded_inputs():
