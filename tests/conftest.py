@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from ddlab import Config, Point, gen_random
+from ddlab import Config, Point, SqDistMatrix, gen_random, sq_dist
 
 
 @pytest.fixture(autouse=True)
@@ -37,6 +37,22 @@ def sign_split(per_curve, family) -> tuple[int, int]:
 def matrix_values(mat) -> tuple[tuple[Fraction, ...], ...]:
     """A SqDistMatrix's table as Fractions, read off its canonical (scale, scaled)."""
     return tuple(tuple(Fraction(v, mat.scale) for v in row) for row in mat.scaled)
+
+
+def fraction_rows(src) -> list[list[Fraction]]:
+    """A source's squared distances by Fraction arithmetic: the reference of exact.sq_dist_rows."""
+    if isinstance(src, SqDistMatrix):
+        return [list(row) for row in matrix_values(src)]
+    return [[sq_dist(a, p) for p in src.p2_points] for a in src.p1_params]
+
+
+def reference_classes(src) -> dict:
+    """The (i, j) pairs of each value of fraction_rows, keys in first-seen (i-major) order."""
+    classes: dict = {}
+    for i, row in enumerate(fraction_rows(src)):
+        for j, d in enumerate(row):
+            classes.setdefault(d, []).append((i, j))
+    return classes
 
 
 def small_random_config(seed: int, max_nm: int = 12, ks: tuple[int, ...] = (2, 3, 4)) -> Config:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ddlab import (
@@ -37,7 +37,9 @@ from ddlab import (
 )
 import ddlab.energy as energy_mod
 from ddlab.energy import NUMPY_MIN_PAIRS, _numpy_report, _stdlib_report, _table_dtype, energy
-from conftest import clustered_config, fractional_config, small_random_config
+from ddlab.exact import sq_dist_rows
+from conftest import clustered_config, fraction_rows, reference_classes, small_random_config
+from strategies import configs, sources
 
 WORKED = Config.of(2, 1, [0, 2], [(0, 1), (1, 2)])
 
@@ -101,33 +103,33 @@ def test_classes_partition_pairs():
             assert sq_dist(cfg.p1_params[i], cfg.p2_points[j]) == d
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 10**6))
-def test_energy_matches_oracle(seed):
-    rng = random.Random(seed)
-    if rng.random() < 0.3:
-        cfg = clustered_config(seed, n=rng.randint(1, 5), m=rng.randint(1, 8),
-                               k=rng.choice((2, 3)), c=rng.randint(1, 3))
-    else:
-        cfg = small_random_config(seed, max_nm=8)
-    rep = energy_report(cfg)
-    assert (rep.energy, rep.energy_same_point, rep.energy_cross) == oracle_quadruples(cfg)
-    assert rep == energy(cfg)
+@settings(max_examples=100, deadline=None)
+@given(sources())
+def test_energy_matches_oracle(src):
+    # Q, Q0 and Q1 from the int kernel, the reference count and the oracle
+    rep = energy_report(src)
+    assert rep == energy(src)
+    assert (rep.energy, rep.energy_same_point, rep.energy_cross) == oracle_quadruples(src)
 
 
-def test_fraction_path_matches_oracle():
-    for seed in range(6):
-        cfg = fractional_config(seed, n=3, m=5, k=2 + seed % 2)
-        rep = energy_report(cfg)
-        assert (rep.energy, rep.energy_same_point, rep.energy_cross) == oracle_quadruples(cfg)
-        assert rep == energy(cfg)
+@settings(max_examples=40, deadline=None)
+@given(sources())
+def test_fraction_path_matches_oracle(src):
+    # Q and Q0 on Fraction arithmetic: the ordered pairs of distinct (i, j)
+    # pairs in one class, and those of them in one column
+    q = sum(len(pairs) * (len(pairs) - 1) for pairs in reference_classes(src).values())
+    q0 = sum(c * (c - 1) for col in zip(*fraction_rows(src)) for c in Counter(col).values())
+    rep = energy_report(src)
+    assert (q, q0, q - q0) == oracle_quadruples(src) == (rep.energy, rep.energy_same_point, rep.energy_cross)
 
 
-def test_matrix_source_agrees_with_config():
-    cfg = small_random_config(23)
+@settings(max_examples=40, deadline=None)
+@given(configs())
+def test_matrix_source_agrees_with_config(cfg):
     mat = SqDistMatrix.from_config(cfg)
     assert energy_report(mat) == energy_report(cfg)
     assert oracle_quadruples(mat) == oracle_quadruples(cfg)
+    assert list(sq_dist_rows(mat)) == list(sq_dist_rows(cfg))
 
 
 class TestQ0Bound:
@@ -168,12 +170,11 @@ def chain_inputs(draw):
 
 class TestChain:
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10**6))
-    def test_exact_inequalities(self, seed):
-        cfg = small_random_config(seed, max_nm=9)
-        rep = energy_report(cfg)
+    @given(sources())
+    def test_exact_inequalities(self, src):
+        rep = energy_report(src)
         chain = check_chain(rep)
-        x, q, nm = rep.distinct_count, rep.energy, cfg.n * cfg.m
+        x, q, nm = rep.distinct_count, rep.energy, src.n * src.m
         assert chain.cauchy_ok
         assert x * q - (nm - x) ** 2 == chain.slack >= 0
         if chain.x_le_half and not chain.vacuous:
@@ -214,21 +215,9 @@ class TestChain:
 
 class TestInvariance:
     @settings(max_examples=30, deadline=None)
-    @given(
-        st.integers(0, 10**6),
-        st.fractions(min_value=-20, max_value=20, max_denominator=7),
-    )
-    def test_translation(self, seed, delta):
-        cfg = small_random_config(seed, max_nm=7)
-        moved = translate_along_axis(cfg, delta)
-        a = energy_report(cfg)
-        b = energy_report(moved)
-        assert (a.distinct_count, a.energy, a.energy_same_point, a.energy_cross) == (
-            b.distinct_count,
-            b.energy,
-            b.energy_same_point,
-            b.energy_cross,
-        )
+    @given(configs(), st.fractions(min_value=-20, max_value=20, max_denominator=7))
+    def test_translation(self, cfg, delta):
+        assert energy_report(translate_along_axis(cfg, delta)) == energy_report(cfg)
 
     def test_point_permutation(self):
         cfg = small_random_config(31, max_nm=8)
@@ -251,27 +240,6 @@ class TestInvariance:
 
 INT32_LIMIT = 1 << 31
 INT64_LIMIT = 1 << 63
-
-
-@st.composite
-def kernel_sources(draw):
-    """An int or fractional config with k = 2..4, or a small matrix; small
-    ranges so that classes, mirror pairs and repeated columns are common."""
-    kind = draw(st.sampled_from(("int", "fraction", "matrix")))
-    if kind == "matrix":
-        n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-        value = st.builds(Fraction, st.integers(0, 8), st.sampled_from((1, 2, 3, 4, 6, 7)))
-        pool = draw(st.lists(value, min_size=1, max_size=8))  # repeats stay common,
-        entry = st.one_of(st.sampled_from(pool), value)  # and tables can be all distinct
-        row = st.lists(entry, min_size=m, max_size=m).map(tuple)
-        entries = draw(st.lists(row, min_size=n, max_size=n).map(tuple))
-        return SqDistMatrix.of(n=n, m=m, entries=entries)
-    dens = (1,) if kind == "int" else (1, 2, 3, 6, 7)
-    value = st.builds(Fraction, st.integers(-6, 6), st.sampled_from(dens))
-    k = draw(st.integers(2, 4))
-    params = draw(st.lists(value, min_size=1, max_size=7, unique=True))
-    points = draw(st.lists(st.tuples(*[value] * k), min_size=1, max_size=7))
-    return Config.of(k=k, c=len(points), p1_params=params, p2_points=points)
 
 
 def near_limit(src, limit: int, above: bool, slack: int):
@@ -324,7 +292,7 @@ NEAR_DTYPE = {
 
 @settings(max_examples=150, deadline=None)
 @given(
-    kernel_sources(),
+    sources(),
     st.sampled_from((INT32_LIMIT, INT64_LIMIT)),
     st.sampled_from((None, False, True)),
     st.integers(0, 3),
@@ -333,6 +301,7 @@ def test_numpy_kernel_matches_stdlib(src, limit, near, slack):
     pytest.importorskip("numpy")
     if near is not None:
         src = near_limit(src, limit, above=near, slack=slack)
+    assume(src.n)  # the numpy kernel is reached at n m >= NUMPY_MIN_PAIRS only
     ref = _stdlib_report(src)
     with dtype_choices() as chosen:
         rep = _numpy_report(src)
@@ -350,12 +319,13 @@ def test_numpy_kernel_matches_stdlib(src, limit, near, slack):
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5])
 @settings(max_examples=60, deadline=None)
-@given(kernel_sources())
+@given(sources())
 def test_numpy_kernel_across_run_blocks(block, src):
     # blocks smaller than a row: runs cross block edges, some blocks hold
     # no run start, and each block marks the row boundaries it holds at
     # its own offset
     pytest.importorskip("numpy")
+    assume(src.n)  # the numpy kernel is reached at n m >= NUMPY_MIN_PAIRS only
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(energy_mod, "_RUN_BLOCK", block)
         rep = _numpy_report(src)

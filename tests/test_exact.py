@@ -226,3 +226,33 @@ def test_exact_owns_the_input_model():
                 exact_imports |= modules
     assert importers == {"sweep.py", "__init__.py"}
     assert exact_imports == {"errors", "records"}
+
+
+def test_only_the_strategies_module_draws_sources():
+    # the identity properties draw their sources from tests/strategies.py: no
+    # other composite strategy builds a Config or a SqDistMatrix, whether by
+    # a constructor, .of, from_config, a generator or a conftest builder
+    tests = Path(__file__).resolve().parent
+    conftest = ast.parse((tests / "conftest.py").read_text(encoding="utf-8"))
+    builders = {"Config", "SqDistMatrix", "from_config", "generate"}
+    builders |= {name for name, obj in vars(ddlab.configs).items() if getattr(obj, "__module__", "") == "ddlab.configs"}
+    builders |= {
+        node.name
+        for node in conftest.body
+        if isinstance(node, ast.FunctionDef) and isinstance(node.returns, ast.Name) and node.returns.id == "Config"
+    }
+    assert {"gen_random", "translate_along_axis", "clustered_config"} <= builders
+    composites, found = set(), []
+    for path in sorted(tests.glob("*.py")):
+        if path.name == "strategies.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.FunctionDef) and "st.composite" in map(ast.unparse, node.decorator_list)):
+                continue
+            composites.add(node.name)
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if names & builders:
+                found.append(f"{path.name}:{node.name}")
+    assert {"literal_tables", "chain_inputs", "curve_pairs"} <= composites
+    assert found == []

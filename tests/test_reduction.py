@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 import ddlab.reduction
 import ddlab.sweep
-from hypothesis import assume, given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from ddlab import (
@@ -38,6 +38,7 @@ from ddlab import (
 from ddlab.sweep import _quadruple_images, verify_checks
 from ddlab.io import load_source
 from conftest import RADICAL_LINE, fractional_config, sign_split, small_random_config
+from strategies import configs
 
 WORKED = Config.of(2, 1, [0, 2], [(0, 1), (1, 2)])
 
@@ -144,34 +145,22 @@ def _scanned_family(cfg: Config) -> HyperbolaFamily:
     view = cfg.view
     firsts, rhos = view.firsts, view.rhos
     seen = {}
-    for i in range(cfg.m):
-        for j in range(cfg.m):
-            if i == j:
-                continue
-            gamma = rhos[i] - rhos[j]
-            if gamma == 0:
-                raise DegenerateHyperbolaError(i, j)
-            triple = (firsts[i], firsts[j], gamma)
-            if triple in seen:
-                raise DuplicateCurveError(f"pair ({i}, {j}) repeats the curve of pair {seen[triple]}")
-            seen[triple] = (i, j)
+    for i, j in permutations(range(cfg.m), 2):
+        gamma = rhos[i] - rhos[j]
+        if gamma == 0:
+            raise DegenerateHyperbolaError(i, j)
+        triple = (firsts[i], firsts[j], gamma)
+        if triple in seen:
+            raise DuplicateCurveError(f"pair ({i}, {j}) repeats the curve of pair {seen[triple]}")
+        seen[triple] = (i, j)
     return HyperbolaFamily(scale=view.scale, firsts=firsts, rhos=rhos)
 
 
-@st.composite
-def configs_off_c1(draw):
-    """Small configs that repeat an axis coordinate or a squared axis distance."""
-    k = draw(st.integers(2, 4))
-    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=2, max_size=7))
-    scale = Fraction(1, draw(st.sampled_from((1, 2, 3))))
-    cfg = Config.of(k, 3, [0, 1], [tuple(v * scale for v in p) for p in points])
-    assume(not validate_constraints(cfg, c=1).ok)
-    return cfg
-
-
-@settings(max_examples=200, deadline=None)
-@given(configs_off_c1())
+@settings(max_examples=80, deadline=None)
+@given(configs())
 def test_build_family_matches_the_scan_off_c1(cfg):
+    # configs at any multiplicity: off c = 1 build_family scans, at c = 1 it
+    # must give what the scan gives without one
     try:
         expected = _scanned_family(cfg)
     except (DegenerateHyperbolaError, DuplicateCurveError) as exc:
@@ -203,18 +192,18 @@ class TestIncidences:
         assert rep.per_curve == (2, 2)
         assert sign_split(rep.per_curve, family) == (2, 2)
 
-    def test_modes_and_oracle_agree(self):
-        for seed in range(10):
-            rng = random.Random(seed)
-            n = rng.randint(1, 7)
-            m = rng.randint(2, 7)
-            cfg = gen_random(n=n, m=m, k=rng.choice((2, 3, 4)), seed=seed, coord_range=9 * (n + m))
+    @settings(max_examples=40, deadline=None)
+    @given(configs())
+    def test_modes_and_oracle_agree(self, cfg):
+        try:
             family = build_family(cfg)
-            fast = incidences(cfg.view, family)
-            per_curve = oracle_incidences(cfg)
-            assert fast.per_curve == per_curve
-            assert sum(fast.per_curve) == fast.total
-            assert sign_split(per_curve, family) == (fast.total // 2, fast.total // 2)
+        except (DegenerateHyperbolaError, DuplicateCurveError):
+            return  # no family: test_build_family_matches_the_scan_off_c1 checks the refusal
+        fast = incidences(cfg.view, family)
+        per_curve = oracle_incidences(cfg)
+        assert fast.per_curve == per_curve
+        assert sum(fast.per_curve) == fast.total
+        assert sign_split(per_curve, family) == (fast.total // 2, fast.total // 2)
 
     def test_fractional_coordinates(self):
         cfg = fractional_config(2, n=4, m=5, k=2)
@@ -252,19 +241,23 @@ class TestBijection:
         assert all(family.curve(*pair).contains(*point) for _, point, pair in images)
         assert ("bijection", "PASS", "Q1 = 4 vs incidences = 4") in verify_checks(WORKED)
 
-    def test_random_sweep(self):
-        for seed in range(14):
-            rng = random.Random(seed + 100)
-            n = rng.randint(1, 8)
-            m = rng.randint(2, 8)
-            cfg = gen_random(n=n, m=m, k=rng.choice((2, 3)), seed=seed, coord_range=9 * (n + m))
-            checks = {name: (status, detail) for name, status, detail in verify_checks(cfg)}
-            q1 = energy_report(cfg).energy_cross
-            assert checks["bijection"] == ("PASS", f"Q1 = {q1} vs incidences = {q1}")
+    @settings(max_examples=20, deadline=None)
+    @given(configs())
+    def test_random_sweep(self, cfg):
+        # every drawn config, steered towards large Q1: the bijection line
+        # reports Q1 as the incidence count, or skips a config the reduction
+        # does not apply to
+        checks = {name: (status, detail) for name, status, detail in verify_checks(cfg)}
+        if not validate_constraints(cfg, c=1).ok:
+            assert checks["bijection"][0] == "SKIP"
+            return
+        q1 = energy_report(cfg).energy_cross
+        target(float(q1), label="Q1 of a reducible config")
+        assert checks["bijection"] == ("PASS", f"Q1 = {q1} vs incidences = {q1}")
 
     def test_lattice_configs_audit_every_quadruple(self, monkeypatch):
-        # random configs above have Q1 = 0; P1 = {0..N-1}, P2 = {(j, j + 1)}
-        # is valid at c = 1 with Q1 > 0, so the audit tests real images
+        # P1 = {0..N-1}, P2 = {(j, j + 1)} is valid at c = 1 with Q1 > 0, so
+        # the audit tests real images
         audited = []
 
         def counting(cfg, classes):
